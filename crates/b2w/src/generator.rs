@@ -423,11 +423,6 @@ impl WorkloadGenerator {
             self.add_line_txn(idx)
         }
     }
-
-    /// Number of carts currently open.
-    pub fn open_cart_count(&self) -> usize {
-        self.open_carts.len()
-    }
 }
 
 /// Deterministic 64-bit mix (SplitMix64 finaliser) for id generation.

@@ -5,25 +5,17 @@
 //! committed file.
 //!
 //! Usage: `bench_baseline [--quick] [--threads N] [--out PATH]
-//! [--shards LIST] [--check-against PATH]`
+//! [--check-against PATH]`
 //!
 //! `--quick` runs a smaller grid for CI smoke (numbers are not
 //! comparable to the committed full-run baseline). Default output path
 //! is `BENCH_sim.json` in the current directory.
 //!
-//! `--shards 1,2,4` runs the whole grid once per executor shard count
-//! and emits a JSON array with one row per count (default: the
-//! `PSTORE_SHARDS` environment variable, else `1`). The simulation
-//! counters (`committed_txns`, `dropped_txns`) must be identical across
-//! rows — the engine is deterministic in the shard count — so only the
-//! timing fields vary.
-//!
 //! `--check-against PATH` reads a previously committed baseline and
-//! fails (exit 1) if this run's shards=1 `sim_txns_per_wall_s` fell
-//! below 95% of the committed value: the serial engine must not pay for
-//! the sharded machinery it isn't using. The gate is best-of-3 — the
-//! serial grid is re-timed up to twice before failing, so transient
-//! host-scheduler noise doesn't masquerade as a regression.
+//! fails (exit 1) if this run's `sim_txns_per_wall_s` fell below 95% of
+//! the committed value. The gate is best-of-3 — the grid is re-timed up
+//! to twice before failing, so transient host-scheduler noise doesn't
+//! masquerade as a regression.
 
 #![allow(clippy::expect_used, clippy::unwrap_used)] // experiment bin aborts loudly
 
@@ -83,42 +75,42 @@ fn peak_rss_kb() -> Option<u64> {
     None
 }
 
-/// Parses a comma-separated shard list (`"1,2,4"`). Exits on nonsense.
-fn parse_shard_list(list: &str) -> Vec<u32> {
-    let shards: Vec<u32> = list
-        .split(',')
-        .map(|s| match s.trim().parse::<u32>() {
-            Ok(n) if n > 0 => n,
-            _ => {
-                eprintln!("error: --shards takes a comma-separated list of positive integers");
-                std::process::exit(2);
-            }
-        })
-        .collect();
-    if shards.is_empty() {
-        eprintln!("error: --shards list is empty");
-        std::process::exit(2);
-    }
-    shards
+/// Pulls `sim_txns_per_wall_s` out of a committed baseline file (the
+/// first occurrence, should the file hold several rows).
+fn baseline_txns_per_s(text: &str) -> Option<f64> {
+    text.lines().find_map(|line| {
+        let rest = line.split("\"sim_txns_per_wall_s\":").nth(1)?;
+        rest.trim().trim_end_matches(',').parse().ok()
+    })
 }
 
-/// Pulls the shards=1 `sim_txns_per_wall_s` out of a committed baseline
-/// file. Accepts both the current array-of-rows format (a `"shards"`
-/// field precedes the throughput in each row) and the legacy
-/// single-object format (no `"shards"` field — implicitly serial).
-fn baseline_serial_txns_per_s(text: &str) -> Option<f64> {
-    let mut current_shards: Option<u32> = None;
-    for line in text.lines() {
-        if let Some(rest) = line.split("\"shards\":").nth(1) {
-            current_shards = rest.trim().trim_end_matches(',').parse().ok();
-        }
-        if let Some(rest) = line.split("\"sim_txns_per_wall_s\":").nth(1) {
-            if current_shards.unwrap_or(1) == 1 {
-                return rest.trim().trim_end_matches(',').parse().ok();
-            }
-        }
-    }
-    None
+/// Runs every grid cell through `sweep`; returns the results and the
+/// wall time the sweep took.
+fn run_grid(
+    sweep: &Sweep,
+    seconds: usize,
+    grid: &[(u32, f64, u64)],
+) -> (Vec<DetailedSimResult>, f64) {
+    let cells: Vec<Cell<DetailedSimResult>> = grid
+        .iter()
+        .map(|&(nodes, load, seed)| {
+            let cfg = cell_cfg(seconds, load, seed);
+            Cell::new(format!("static{nodes}@{load}tps/seed{seed}"), move || {
+                run_detailed(&cfg, &mut StaticController::new(nodes))
+            })
+        })
+        .collect();
+    let start = Instant::now();
+    let results = sweep.run(cells);
+    (results, start.elapsed().as_secs_f64())
+}
+
+/// Committed simulated transactions per wall second.
+fn txns_per_wall_s(results: &[DetailedSimResult], wall_s: f64) -> f64 {
+    let committed: u64 = results.iter().map(|r| r.committed).sum();
+    #[allow(clippy::cast_precision_loss)] // counters far below 2^52
+    let committed = committed as f64;
+    committed / wall_s
 }
 
 fn main() {
@@ -130,20 +122,6 @@ fn main() {
             Some(p) => std::path::PathBuf::from(p),
             None => {
                 eprintln!("error: --out requires a file path argument");
-                std::process::exit(2);
-            }
-        },
-    );
-    let shard_counts: Vec<u32> = args.iter().position(|a| a == "--shards").map_or_else(
-        || {
-            // Mirror the simulator's own PSTORE_SHARDS default so an
-            // env-driven run benches the engine it would actually use.
-            std::env::var("PSTORE_SHARDS").map_or_else(|_| vec![1], |v| parse_shard_list(&v))
-        },
-        |i| match args.get(i + 1) {
-            Some(list) => parse_shard_list(list),
-            None => {
-                eprintln!("error: --shards requires a comma-separated list (e.g. 1,2,4)");
                 std::process::exit(2);
             }
         },
@@ -185,74 +163,44 @@ fn main() {
     let sweep = Sweep::from_reporter(&reporter);
     let threads = sweep.threads();
     reporter.progress(&format!(
-        "bench_baseline: {} cells x {seconds}s ({mode}), {threads} thread(s), shards {shard_counts:?}",
+        "bench_baseline: {} cells x {seconds}s ({mode}), {threads} thread(s)",
         grid.len()
     ));
 
     let host_cpus = std::thread::available_parallelism().map_or(1, std::num::NonZero::get);
-    let mut rows: Vec<String> = Vec::with_capacity(shard_counts.len());
-    let mut serial_txns_per_s: Option<f64> = None;
-    for &shards in &shard_counts {
-        let cells: Vec<Cell<DetailedSimResult>> = grid
-            .iter()
-            .map(|&(nodes, load, seed)| {
-                let mut cfg = cell_cfg(seconds, load, seed);
-                cfg.shards = shards;
-                Cell::new(
-                    format!("static{nodes}@{load}tps/seed{seed}/shards{shards}"),
-                    move || run_detailed(&cfg, &mut StaticController::new(nodes)),
-                )
-            })
-            .collect();
-        let n_cells = cells.len();
-
-        let start = Instant::now();
-        let results = sweep.run(cells);
-        let wall_s = start.elapsed().as_secs_f64();
-
-        let committed: u64 = results.iter().map(|r| r.committed).sum();
-        let dropped: u64 = results.iter().map(|r| r.dropped).sum();
-        #[allow(clippy::cast_precision_loss)] // counters far below 2^52
-        let (cells_per_s, txns_per_s) = (n_cells as f64 / wall_s, committed as f64 / wall_s);
-        if shards == 1 {
-            serial_txns_per_s.get_or_insert(txns_per_s);
-        }
-        // Peak RSS is process-wide and monotone, so later rows inherit
-        // the high-water mark of earlier ones; still worth recording.
-        let rss_json = peak_rss_kb().map_or_else(|| "null".to_string(), |kb| kb.to_string());
-        rows.push(format!(
-            "  {{\n    \"benchmark\": \"bench_baseline\",\n    \"mode\": \"{mode}\",\n    \
-             \"shards\": {shards},\n    \"threads\": {threads},\n    \
-             \"host_cpus\": {host_cpus},\n    \
-             \"cells\": {n_cells},\n    \"sim_seconds_per_cell\": {seconds},\n    \
-             \"committed_txns\": {committed},\n    \"dropped_txns\": {dropped},\n    \
-             \"wall_s\": {wall_s:.3},\n    \"cells_per_s\": {cells_per_s:.4},\n    \
-             \"sim_txns_per_wall_s\": {txns_per_s:.0},\n    \"peak_rss_kb\": {rss_json}\n  }}"
-        ));
-        reporter.progress(&format!(
-            "bench_baseline: shards={shards} done ({wall_s:.1}s wall, {txns_per_s:.0} sim txns/s)"
-        ));
-    }
-
-    let json = format!("[\n{}\n]\n", rows.join(",\n"));
+    let n_cells = grid.len();
+    let (results, wall_s) = run_grid(&sweep, seconds, &grid);
+    let committed: u64 = results.iter().map(|r| r.committed).sum();
+    let dropped: u64 = results.iter().map(|r| r.dropped).sum();
+    let txns_per_s = txns_per_wall_s(&results, wall_s);
+    #[allow(clippy::cast_precision_loss)] // cell counts are tiny
+    let cells_per_s = n_cells as f64 / wall_s;
+    let rss_json = peak_rss_kb().map_or_else(|| "null".to_string(), |kb| kb.to_string());
+    let json = format!(
+        "{{\n  \"benchmark\": \"bench_baseline\",\n  \"mode\": \"{mode}\",\n  \
+         \"threads\": {threads},\n  \"host_cpus\": {host_cpus},\n  \
+         \"cells\": {n_cells},\n  \"sim_seconds_per_cell\": {seconds},\n  \
+         \"committed_txns\": {committed},\n  \"dropped_txns\": {dropped},\n  \
+         \"wall_s\": {wall_s:.3},\n  \"cells_per_s\": {cells_per_s:.4},\n  \
+         \"sim_txns_per_wall_s\": {txns_per_s:.0},\n  \"peak_rss_kb\": {rss_json}\n}}\n"
+    );
     let mut file = std::fs::File::create(&out_path).expect("create BENCH_sim.json");
     file.write_all(json.as_bytes())
         .expect("write BENCH_sim.json");
     print!("{json}");
-    reporter.progress(&format!("bench_baseline: wrote {}", out_path.display()));
+    reporter.progress(&format!(
+        "bench_baseline: {wall_s:.1}s wall, {txns_per_s:.0} sim txns/s; wrote {}",
+        out_path.display()
+    ));
 
     if let Some(baseline_path) = check_against {
-        let Some(measured) = serial_txns_per_s else {
-            eprintln!("error: --check-against needs a shards=1 row (add 1 to --shards)");
-            std::process::exit(2);
-        };
         let text = std::fs::read_to_string(&baseline_path).unwrap_or_else(|e| {
             eprintln!("error: cannot read {}: {e}", baseline_path.display());
             std::process::exit(2);
         });
-        let Some(committed_baseline) = baseline_serial_txns_per_s(&text) else {
+        let Some(committed_baseline) = baseline_txns_per_s(&text) else {
             eprintln!(
-                "error: no shards=1 sim_txns_per_wall_s in {}",
+                "error: no sim_txns_per_wall_s in {}",
                 baseline_path.display()
             );
             std::process::exit(2);
@@ -260,43 +208,29 @@ fn main() {
         let floor = 0.95 * committed_baseline;
         // Best-of-3: wall-clock throughput on a shared host can dip well
         // below 95% from scheduler noise alone, and a genuine regression
-        // slows every attempt, so retry the serial grid before failing.
-        let mut best = measured;
+        // slows every attempt, so retry the grid before failing.
+        let mut best = txns_per_s;
         for attempt in 2..=3 {
             if best >= floor {
                 break;
             }
             reporter.progress(&format!(
-                "bench_baseline: shards=1 throughput {best:.0} below floor {floor:.0}, \
+                "bench_baseline: throughput {best:.0} below floor {floor:.0}, \
                  retrying (attempt {attempt}/3, host noise vs real regression)"
             ));
-            let cells: Vec<Cell<DetailedSimResult>> = grid
-                .iter()
-                .map(|&(nodes, load, seed)| {
-                    let cfg = cell_cfg(seconds, load, seed);
-                    Cell::new(format!("recheck{nodes}@{load}tps/seed{seed}"), move || {
-                        run_detailed(&cfg, &mut StaticController::new(nodes))
-                    })
-                })
-                .collect();
-            let start = Instant::now();
-            let results = sweep.run(cells);
-            let wall_s = start.elapsed().as_secs_f64();
-            let committed: u64 = results.iter().map(|r| r.committed).sum();
-            #[allow(clippy::cast_precision_loss)] // counters far below 2^52
-            let txns_per_s = committed as f64 / wall_s;
-            best = best.max(txns_per_s);
+            let (results, wall_s) = run_grid(&sweep, seconds, &grid);
+            best = best.max(txns_per_wall_s(&results, wall_s));
         }
         if best < floor {
             eprintln!(
-                "FAIL: shards=1 throughput {best:.0} sim txns/s (best of 3) is below 95% of \
+                "FAIL: throughput {best:.0} sim txns/s (best of 3) is below 95% of \
                  the committed baseline {committed_baseline:.0} (floor {floor:.0}) — the \
-                 serial engine regressed"
+                 simulator regressed"
             );
             std::process::exit(1);
         }
         reporter.progress(&format!(
-            "bench_baseline: shards=1 throughput {best:.0} >= 95% of committed \
+            "bench_baseline: throughput {best:.0} >= 95% of committed \
              {committed_baseline:.0} — ok"
         ));
     }

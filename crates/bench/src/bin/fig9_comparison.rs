@@ -19,7 +19,6 @@ fn main() {
         days: if quick { 1 } else { 3 },
         seed: 0x0709,
         quick,
-        shards: pstore_sim::detailed::shards_from_env(),
     };
     let sweep = Sweep::from_reporter(&reporter);
     reporter.progress(&format!(

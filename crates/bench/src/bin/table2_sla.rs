@@ -17,7 +17,6 @@ fn main() {
         days: if quick { 1 } else { 3 },
         seed: 0x0709,
         quick,
-        shards: pstore_sim::detailed::shards_from_env(),
     };
     reporter.progress("running the Fig 9 comparison to derive Table 2...");
     let (_, results) = run_all_sweep(&cfg, &Sweep::from_reporter(&reporter));

@@ -105,12 +105,6 @@ pub fn section(title: &str) {
     );
 }
 
-/// Whether the binary was invoked with `--quick` (smaller, faster runs for
-/// smoke-testing; EXPERIMENTS.md numbers come from full runs).
-pub fn quick_mode() -> bool {
-    std::env::args().any(|a| a == "--quick")
-}
-
 /// Shared run harness for the experiment binaries: uniform handling of
 /// `--quick` (smaller runs), `--quiet` (suppress progress chatter),
 /// `--threads N` (worker threads for the [`sweep`] runner; default:

@@ -11,6 +11,13 @@
 
 use std::fmt;
 
+/// Codes of retired invariants. A retired code stays reserved: no
+/// [`InvariantId`] may take it again, and `docs/invariants.md` keeps
+/// documenting it as retired. CON-04/05 checked the threaded engine's
+/// mailbox handoff and reconfiguration fence, which were deleted with
+/// that engine.
+pub const RETIRED_CODES: [&str; 2] = ["CON-04", "CON-05"];
+
 /// Identifier of one paper-specified invariant.
 ///
 /// The `SCH-*` family covers migration schedules (§4.4.1, Table 1), the
@@ -118,22 +125,7 @@ pub enum InvariantId {
     /// another cell, including the previous cell run back-to-back on the
     /// same reused worker thread.
     ConcurrencyRegistryIsolation,
-    /// CON-04: the sharded engine's SPSC mailbox handoff is
-    /// happens-before correct — a payload written before the `Release`
-    /// tail publish is fully visible to the consumer's `Acquire` load,
-    /// values arrive exactly once and in FIFO order, and a retired slot
-    /// is never overwritten while still occupied (loom model: real
-    /// `Mailbox` under exhaustive interleaving; runtime check:
-    /// serial-vs-sharded fate equivalence).
-    ConcurrencyMailboxHandoff,
-    /// CON-05: the reconfiguration fence excludes in-flight shard
-    /// execution — every shard has quiesced (acked the fence epoch)
-    /// before a global structural operation runs, the shards' prior
-    /// writes are visible to the coordinator at the ack, and no shard
-    /// resumes until the coordinator releases the epoch (loom model:
-    /// `FenceGate` + mailbox; runtime check: sharded runs match serial
-    /// byte-for-byte through reconfigurations).
-    ConcurrencyReconfigFence,
+    // CON-04/05 are retired (see `RETIRED_CODES`).
     /// TXN-01: a transaction's recorded read/write set is consistent with
     /// its declared partition access — destination-side accesses (and
     /// Squall-style restarts) only occur while the slot's partition is
@@ -209,8 +201,6 @@ impl InvariantId {
             InvariantId::ConcurrencyQueueIntegrity => "CON-01",
             InvariantId::ConcurrencyMergeBarrier => "CON-02",
             InvariantId::ConcurrencyRegistryIsolation => "CON-03",
-            InvariantId::ConcurrencyMailboxHandoff => "CON-04",
-            InvariantId::ConcurrencyReconfigFence => "CON-05",
             InvariantId::TxnReadWriteSets => "TXN-01",
             InvariantId::IsoDsgAcyclic => "ISO-01",
             InvariantId::IsoReadCommitOrder => "ISO-02",
@@ -252,8 +242,6 @@ impl InvariantId {
             InvariantId::ConcurrencyQueueIntegrity => "§8 (experiment grids)",
             InvariantId::ConcurrencyMergeBarrier => "§8 (determinism contract)",
             InvariantId::ConcurrencyRegistryIsolation => "docs/observability.md",
-            InvariantId::ConcurrencyMailboxHandoff => "§6 (execution engine)",
-            InvariantId::ConcurrencyReconfigFence => "§4.2 (Squall reconfiguration)",
             InvariantId::TxnReadWriteSets => "§4.2 (Squall reconfiguration)",
             InvariantId::IsoDsgAcyclic => "§4.2 (transparent migration; IsoPredict DSG)",
             InvariantId::IsoReadCommitOrder => "§4.2 (commit-order equivalence)",
@@ -344,12 +332,13 @@ mod tests {
             InvariantId::ConcurrencyQueueIntegrity,
             InvariantId::ConcurrencyMergeBarrier,
             InvariantId::ConcurrencyRegistryIsolation,
-            InvariantId::ConcurrencyMailboxHandoff,
-            InvariantId::ConcurrencyReconfigFence,
         ];
         for (i, id) in family.iter().enumerate() {
             assert_eq!(id.code(), format!("CON-{:02}", i + 1));
             assert!(!id.paper_ref().is_empty());
+        }
+        for id in family {
+            assert!(!RETIRED_CODES.contains(&id.code()));
         }
         let v = Violation::new(
             InvariantId::ConcurrencyQueueIntegrity,
@@ -388,7 +377,7 @@ mod tests {
         }
         let v = Violation::new(
             InvariantId::ProvDecisionCausality,
-            "prov reactive run shards=4",
+            "prov reactive run",
             "reconfig id 3 has no matching decision",
         );
         assert!(v.to_string().contains("PRV-02"));
@@ -419,7 +408,7 @@ mod tests {
         }
         let v = Violation::new(
             InvariantId::IsoDsgAcyclic,
-            "history shards=4",
+            "detailed sim key history",
             "cycle T5 -WW(k)-> T7 -RW(k)-> T5",
         );
         assert!(v.to_string().contains("ISO-01"));

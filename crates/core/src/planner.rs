@@ -10,7 +10,6 @@
 
 use crate::cost_model::{avg_machines_allocated, cap, eff_cap, machines_for_load, move_time};
 use crate::moves::{Move, MoveSeq};
-use crate::params::SystemParams;
 
 /// Planner configuration, in planning-interval units.
 #[derive(Debug, Clone, PartialEq)]
@@ -23,19 +22,6 @@ pub struct PlannerConfig {
     pub partitions_per_node: u32,
     /// Hard cap on cluster size.
     pub max_machines: u32,
-}
-
-impl PlannerConfig {
-    /// Derives the planning units from the system parameters.
-    pub fn from_params(params: &SystemParams) -> Self {
-        params.validate();
-        PlannerConfig {
-            q: params.q,
-            d_intervals: params.d_intervals(),
-            partitions_per_node: params.partitions_per_node,
-            max_machines: params.max_machines,
-        }
-    }
 }
 
 /// Behavioural switches for ablation studies. The defaults reproduce the

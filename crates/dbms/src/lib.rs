@@ -13,6 +13,10 @@
 //! * **Live reconfiguration** in chunks with key-granularity switchover:
 //!   transactions keep running against slots whose rows are mid-flight,
 //!   exactly the property Squall provides to P-Store.
+//! * **Serial execution**: every transaction and migration chunk runs
+//!   inline on one executor, with no threads or queues. Experiments
+//!   parallelise across independent simulation cells instead (the
+//!   sweep runner in `pstore-bench`).
 //!
 //! Timing (service times, queueing, chunk pacing) is deliberately *not*
 //! modelled here: the engine is purely functional, and the `pstore-sim`
@@ -59,17 +63,15 @@
 pub mod catalog;
 pub mod cluster;
 pub mod hash;
-pub mod mailbox;
 pub mod partition;
 pub mod shard;
 pub mod skew;
 pub mod stats;
-pub mod sync;
 pub mod txn;
 pub mod value;
 
 pub use catalog::{Catalog, TableId, TableSchema};
-pub use cluster::{ChunkResult, Cluster, ClusterConfig, ReconfigError, ShardReport};
+pub use cluster::{ChunkResult, Cluster, ClusterConfig, ReconfigError};
 pub use shard::TxnFate;
 pub use txn::{Procedure, TxnCtx, TxnError, TxnOutput};
 pub use value::{Key, KeyValue, Row, Value};

@@ -295,15 +295,6 @@ impl PartitionStore {
         }
     }
 
-    /// Removes an entire slot (used when committing a plan switch for an
-    /// already-empty slot, or in tests). Drops any version counters still
-    /// attributed to the slot — by commit time a migrated slot's history
-    /// has already been handed to the destination.
-    pub fn take_slot(&mut self, slot: u64) -> Option<SlotData> {
-        self.versions.remove(&slot);
-        self.slots.remove(&slot)
-    }
-
     /// Estimated bytes held in `slot`.
     pub fn slot_bytes(&self, slot: u64) -> usize {
         self.slots.get(&slot).map_or(0, SlotData::bytes)

@@ -1,24 +1,12 @@
-//! Executor shards: the per-thread state and message protocol of the
-//! sharded execution engine.
+//! The engine's storage and its serial executor: the partition matrix
+//! of every node, the moved-key sets of in-flight slots, and the
+//! [`TxnFate`] each executed transaction leaves behind.
 //!
-//! The slot space is partitioned across `S` shards by *local partition
-//! index*: shard `s` owns every partition whose local index `l`
-//! satisfies `l % S == s`, on every node. Because `local_of_slot` is a
-//! pure hash of the slot id — independent of the slot→node assignment —
-//! a slot's local index never changes, and a migrating slot's source and
-//! destination partitions share it. Consequently settled transactions,
-//! migrating transactions (source + destination), and chunk moves are
-//! all single-shard operations: no cross-thread locking on the execute
-//! path. Only global structural changes (node allocation, plan swap on
-//! commit, quiesced snapshot reads) cross shards, and those go through
-//! the [`FenceOp`] protocol driven by the coordinator in
-//! [`crate::cluster::Cluster`].
-//!
-//! Everything in this module is pure state manipulation: shard threads
-//! emit **no telemetry** (they carry no thread-local sink) and draw no
-//! randomness. All observable effects travel back to the coordinator as
-//! [`Reply`] values, which is what makes the engine's output
-//! byte-identical at every shard count.
+//! [`crate::cluster::Cluster`] owns exactly one [`ShardState`] and calls
+//! it inline — one serial executor for the whole engine, as H-Store runs
+//! one serial executor per partition. Routing, plans, statistics and
+//! telemetry stay in the cluster; everything here is pure state
+//! manipulation that emits no telemetry and draws no randomness.
 
 use crate::catalog::TableId;
 use crate::partition::PartitionStore;
@@ -26,11 +14,10 @@ use crate::txn::{KeyAccess, Procedure, RwSet, TxnCtx, TxnError, TxnOutput};
 use crate::value::{Key, Row};
 use std::collections::{HashMap, HashSet};
 
-/// The outcome of one executed transaction, as recorded by the shard
-/// that ran it. Fates flow back to the coordinator in submission order;
-/// the coordinator folds them into cluster statistics and (for sampled
-/// transactions) telemetry, so the merge is deterministic regardless of
-/// shard scheduling.
+/// The outcome of one executed transaction. The cluster folds it into
+/// its statistics; [`Cluster::submit`](crate::cluster::Cluster::submit)
+/// hands it back to the caller (for sampled transactions, the simulator
+/// emits telemetry from it).
 #[derive(Debug)]
 pub struct TxnFate {
     /// The procedure's result.
@@ -54,85 +41,6 @@ pub struct TxnFate {
     pub key_writes: Vec<KeyAccess>,
 }
 
-/// A shard panicked while executing a command. Carries the shard index
-/// and the panic payload, so sweep-level fault attribution
-/// (`Sweep::run_fallible`) can name the culprit exactly like a
-/// panicking cell.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ShardPanic {
-    /// Index of the shard whose thread panicked.
-    pub shard: u32,
-    /// Stringified panic payload.
-    pub message: String,
-}
-
-impl std::fmt::Display for ShardPanic {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "executor shard {} panicked: {}",
-            self.shard, self.message
-        )
-    }
-}
-
-impl std::error::Error for ShardPanic {}
-
-/// A global operation executed by every shard at a fence point, while
-/// the shard is quiesced (its command queue drained to the fence). The
-/// result rides back on the [`Reply::FenceAck`].
-#[derive(Debug, Clone)]
-pub enum FenceOp {
-    /// Grow the per-shard store matrix to `count` nodes.
-    EnsureNodes(u32),
-    /// Truncate to `keep` nodes (scale-in commit; dropped stores must be
-    /// empty).
-    DropNodes(u32),
-    /// Per-partition report: `(node, local, accesses, bytes, rows)`.
-    Report,
-    /// Merged per-slot access counters across this shard's partitions.
-    SlotAccessCounts,
-    /// Reset every per-slot access counter (new monitoring window).
-    ResetSlotAccesses,
-    /// Resident bytes for each `(slot, node, local)` this shard owns.
-    SlotBytes(Vec<(u64, u32, u32)>),
-    /// Snapshot of every row of one table held by this shard.
-    ExportTable(TableId),
-    /// Integrity snapshot: resident slots + byte accounting per store.
-    Integrity,
-    /// Per-shard execution counters for telemetry attribution.
-    ShardReport,
-    /// Enable or disable per-key version counting in every store this
-    /// shard owns (the ISO-01..03 serializability sweep).
-    TrackVersions(bool),
-    /// Pure quiescence: drain, acknowledge, hold.
-    Noop,
-}
-
-/// Data returned from a [`FenceOp`].
-#[derive(Debug)]
-pub enum FenceData {
-    /// No payload.
-    None,
-    /// `(node, local, accesses, bytes, rows)` per owned partition.
-    Report(Vec<(u32, u32, u64, usize, usize)>),
-    /// `(slot, count)` access pairs, merged across owned partitions.
-    SlotCounts(Vec<(u64, u64)>),
-    /// Resident bytes per requested slot, in request order.
-    SlotBytes(Vec<usize>),
-    /// Exported `(key, row)` pairs (unsorted; the coordinator merges).
-    Rows(Vec<(Key, Row)>),
-    /// Integrity snapshot per owned store.
-    Integrity(Vec<StoreIntegrity>),
-    /// Per-shard execution counters.
-    ShardReport {
-        /// Transactions executed by this shard.
-        txns: u64,
-        /// Wall-clock microseconds spent applying commands (0 inline).
-        busy_us: u64,
-    },
-}
-
 /// Integrity-audit snapshot of one partition store.
 #[derive(Debug)]
 pub struct StoreIntegrity {
@@ -148,144 +56,31 @@ pub struct StoreIntegrity {
     pub actual_bytes: usize,
 }
 
-/// A command sent from the coordinator to one executor shard.
-pub enum Command {
-    /// Execute a transaction on this shard's partition of `slot`.
-    Execute {
-        /// The procedure to run.
-        proc: Box<dyn Procedure + Send>,
-        /// Resolved routing slot.
-        slot: u64,
-        /// Node currently serving the slot.
-        node: u32,
-        /// The slot's local partition index.
-        local: u32,
-        /// `(from, to)` when the slot is in-flight.
-        in_flight: Option<(u32, u32)>,
-        /// Record a key-level read/write history for this transaction
-        /// (sampled serializability capture).
-        capture: bool,
-    },
-    /// Move up to `budget` bytes of `slot` from `from` to `to`.
-    Chunk {
-        /// The migrating slot.
-        slot: u64,
-        /// Sending node.
-        from: u32,
-        /// Receiving node.
-        to: u32,
-        /// The slot's local partition index.
-        local: u32,
-        /// Chunk byte budget.
-        budget: usize,
-    },
-    /// Quiesce, run `op`, acknowledge, and hold until the coordinator
-    /// releases `epoch` on the fence gate.
-    Fence {
-        /// The fence epoch being entered.
-        epoch: u64,
-        /// The operation to run while quiesced.
-        op: FenceOp,
-    },
-}
-
-impl std::fmt::Debug for Command {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            Command::Execute {
-                slot, node, local, ..
-            } => f
-                .debug_struct("Execute")
-                .field("slot", slot)
-                .field("node", node)
-                .field("local", local)
-                .finish_non_exhaustive(),
-            Command::Chunk { slot, from, to, .. } => f
-                .debug_struct("Chunk")
-                .field("slot", slot)
-                .field("from", from)
-                .field("to", to)
-                .finish_non_exhaustive(),
-            Command::Fence { epoch, .. } => f
-                .debug_struct("Fence")
-                .field("epoch", epoch)
-                .finish_non_exhaustive(),
-        }
-    }
-}
-
-/// A reply from an executor shard to the coordinator. Replies preserve
-/// the per-shard FIFO order of their commands.
-#[derive(Debug)]
-pub enum Reply {
-    /// Outcome of an [`Command::Execute`].
-    Fate(TxnFate),
-    /// Outcome of a [`Command::Chunk`]: `(rows, bytes, emptied)`.
-    Chunk {
-        /// Rows relocated.
-        rows: usize,
-        /// Bytes relocated.
-        bytes: usize,
-        /// Whether the slot is now fully moved.
-        emptied: bool,
-    },
-    /// Fence acknowledged: the shard is quiesced and holding.
-    FenceAck {
-        /// The acknowledged epoch.
-        epoch: u64,
-        /// The fence operation's result.
-        data: FenceData,
-    },
-    /// The shard panicked; it has shut down after sending this.
-    Panicked {
-        /// Stringified panic payload.
-        message: String,
-    },
-}
-
-/// The storage state owned by one executor shard: the partitions with
-/// local index `l ≡ shard (mod num_shards)` on every node, plus the
-/// moved-key sets of in-flight slots it serves.
+/// The storage of the whole engine: every partition of every node, plus
+/// the moved-key sets of in-flight slots.
 #[derive(Debug)]
 pub struct ShardState {
-    shard: u32,
-    num_shards: u32,
     partitions_per_node: u32,
     num_tables: usize,
     num_slots: u64,
-    /// `stores[node][k]` is the partition with local index
-    /// `k * num_shards + shard` on `node`.
+    /// `stores[node][local]` is local partition `local` of `node`.
     stores: Vec<Vec<PartitionStore>>,
-    /// Moved-key sets for in-flight slots owned by this shard.
+    /// Moved-key sets for in-flight slots.
     moved: HashMap<u64, HashSet<(TableId, Key)>>,
-    /// Transactions executed by this shard (attribution counter).
-    txns: u64,
     /// Whether per-key version counting is on (applied to every store,
-    /// including ones created by later `EnsureNodes` growth).
+    /// including ones created by later node growth).
     track_versions: bool,
 }
 
 impl ShardState {
-    /// Creates the state of shard `shard` of `num_shards`, covering
-    /// `nodes` initial nodes.
-    pub fn new(
-        shard: u32,
-        num_shards: u32,
-        partitions_per_node: u32,
-        num_tables: usize,
-        num_slots: u64,
-        nodes: u32,
-    ) -> Self {
-        assert!(num_shards > 0 && shard < num_shards);
+    /// Creates the storage for `nodes` initial nodes.
+    pub fn new(partitions_per_node: u32, num_tables: usize, num_slots: u64, nodes: u32) -> Self {
         let mut state = ShardState {
-            shard,
-            num_shards,
             partitions_per_node,
             num_tables,
             num_slots,
             stores: Vec::new(),
             moved: HashMap::new(),
-            txns: 0,
             track_versions: false,
         };
         state.ensure_nodes(nodes);
@@ -293,7 +88,7 @@ impl ShardState {
     }
 
     /// Enables or disables per-key version counting across every store
-    /// this shard owns (current and future).
+    /// (current and future).
     pub fn set_track_versions(&mut self, on: bool) {
         self.track_versions = on;
         for store in self.stores.iter_mut().flatten() {
@@ -301,30 +96,19 @@ impl ShardState {
         }
     }
 
-    /// Number of local partition indices this shard owns per node.
-    fn stores_per_node(&self) -> u32 {
-        // Count of l in [0, P) with l % S == shard.
-        let p = self.partitions_per_node;
-        let s = self.num_shards;
-        (p / s) + u32::from(p % s > self.shard)
-    }
-
-    /// The store index of local partition `local` (which must belong to
-    /// this shard: `local % num_shards == shard`).
-    fn store_index(&self, local: u32) -> usize {
-        debug_assert_eq!(local % self.num_shards, self.shard);
-        (local / self.num_shards) as usize
+    /// Whether per-key version counting is on.
+    pub fn track_versions(&self) -> bool {
+        self.track_versions
     }
 
     /// Mutable access to the store serving `(node, local)`.
     fn store_mut(&mut self, node: u32, local: u32) -> &mut PartitionStore {
-        let k = self.store_index(local);
-        &mut self.stores[node as usize][k]
+        &mut self.stores[node as usize][local as usize]
     }
 
     /// Grows the store matrix to `count` nodes.
     pub fn ensure_nodes(&mut self, count: u32) {
-        let per_node = self.stores_per_node() as usize;
+        let per_node = self.partitions_per_node as usize;
         while self.stores.len() < count as usize {
             self.stores.push(
                 (0..per_node)
@@ -350,7 +134,7 @@ impl ShardState {
         }
     }
 
-    /// Executes one transaction on this shard.
+    /// Executes one transaction on the partition serving `slot`.
     pub fn execute(
         &mut self,
         proc: &dyn Procedure,
@@ -360,7 +144,6 @@ impl ShardState {
         in_flight: Option<(u32, u32)>,
         capture: bool,
     ) -> TxnFate {
-        self.txns += 1;
         let num_slots = self.num_slots;
         let (result, touched_dest, rwset, key_reads, key_writes) = match in_flight {
             None => {
@@ -379,14 +162,14 @@ impl ShardState {
             }
             Some((from, to)) => {
                 debug_assert_ne!(from, to);
-                let k = self.store_index(local);
+                let k = local as usize;
                 let (src, dst) = two_nodes(&mut self.stores, from as usize, to as usize);
                 let source = &mut src[k];
                 source.record_slot_access(slot);
                 let dest = &mut dst[k];
                 // The moved set may not exist yet if no chunk of this
                 // slot has run; an empty set routes everything to the
-                // source, exactly like the serial engine. `HashSet::new`
+                // source. `HashSet::new`
                 // does not allocate, so the fallback is free.
                 let empty = HashSet::new();
                 let moved = self.moved.get(&slot).unwrap_or(&empty);
@@ -416,8 +199,7 @@ impl ShardState {
 
     /// Moves up to `budget` bytes of `slot` from `from` to `to`,
     /// maintaining the moved-key set. Returns `(rows, bytes, emptied)`;
-    /// on `emptied` the moved set is retired (the coordinator flips
-    /// routing).
+    /// on `emptied` the moved set is retired (the cluster flips routing).
     pub fn migrate_chunk(
         &mut self,
         slot: u64,
@@ -426,7 +208,7 @@ impl ShardState {
         local: u32,
         budget: usize,
     ) -> (usize, usize, bool) {
-        let k = self.store_index(local);
+        let k = local as usize;
         let moved = self.moved.entry(slot).or_default();
         let (src, dst) = two_nodes(&mut self.stores, from as usize, to as usize);
         let (rows, bytes, emptied) = src[k].extract_chunk(slot, budget.max(1));
@@ -459,22 +241,16 @@ impl ShardState {
         (n_rows, bytes, emptied)
     }
 
-    /// Transactions executed by this shard so far.
-    pub fn txns(&self) -> u64 {
-        self.txns
-    }
-
     /// Per-partition report: `(node, local, accesses, bytes, rows)` for
-    /// every store this shard owns, in (node, store) order.
+    /// every store, in (node, local) order.
     #[allow(clippy::cast_possible_truncation)] // node/partition indices fit u32
     pub fn report(&self) -> Vec<(u32, u32, u64, usize, usize)> {
         let mut out = Vec::new();
         for (n, node) in self.stores.iter().enumerate() {
             for (k, store) in node.iter().enumerate() {
-                let local = k as u32 * self.num_shards + self.shard;
                 out.push((
                     n as u32,
-                    local,
+                    k as u32,
                     store.accesses(),
                     store.total_bytes(),
                     store.total_rows(),
@@ -484,7 +260,7 @@ impl ShardState {
         out
     }
 
-    /// Per-slot access counts merged across this shard's partitions,
+    /// Per-slot access counts merged across every partition,
     /// sorted by slot id.
     pub fn slot_counts(&self) -> Vec<(u64, u64)> {
         let mut merged: HashMap<u64, u64> = HashMap::new();
@@ -507,11 +283,10 @@ impl ShardState {
 
     /// Resident bytes of `slot` on `(node, local)`.
     pub fn slot_bytes_at(&self, slot: u64, node: u32, local: u32) -> usize {
-        let k = self.store_index(local);
-        self.stores[node as usize][k].slot_bytes(slot)
+        self.stores[node as usize][local as usize].slot_bytes(slot)
     }
 
-    /// Clones every row of `table` held by this shard (unsorted).
+    /// Clones every row of `table` (unsorted).
     pub fn export_table(&self, table: TableId) -> Vec<(Key, Row)> {
         let mut out = Vec::new();
         for store in self.stores.iter().flatten() {
@@ -522,7 +297,7 @@ impl ShardState {
         out
     }
 
-    /// Integrity snapshot for every store this shard owns.
+    /// Integrity snapshot for every store.
     #[allow(clippy::cast_possible_truncation)] // node/partition indices fit u32
     pub fn integrity(&self) -> Vec<StoreIntegrity> {
         let mut out = Vec::new();
@@ -532,7 +307,7 @@ impl ShardState {
                 resident.sort_unstable();
                 out.push(StoreIntegrity {
                     node: n as u32,
-                    local: k as u32 * self.num_shards + self.shard,
+                    local: k as u32,
                     resident_slots: resident,
                     claimed_bytes: store.total_bytes(),
                     actual_bytes: store.recompute_bytes(),
@@ -540,187 +315,6 @@ impl ShardState {
             }
         }
         out
-    }
-
-    /// Applies a fence operation against the quiesced state.
-    pub fn apply_fence_op(&mut self, op: &FenceOp) -> FenceData {
-        match op {
-            FenceOp::EnsureNodes(count) => {
-                self.ensure_nodes(*count);
-                FenceData::None
-            }
-            FenceOp::DropNodes(keep) => {
-                self.drop_nodes(*keep);
-                FenceData::None
-            }
-            FenceOp::Report => FenceData::Report(self.report()),
-            FenceOp::SlotAccessCounts => FenceData::SlotCounts(self.slot_counts()),
-            FenceOp::ResetSlotAccesses => {
-                self.reset_slot_accesses();
-                FenceData::None
-            }
-            FenceOp::SlotBytes(slots) => FenceData::SlotBytes(
-                slots
-                    .iter()
-                    .map(|&(slot, node, local)| self.slot_bytes_at(slot, node, local))
-                    .collect(),
-            ),
-            FenceOp::ExportTable(table) => FenceData::Rows(self.export_table(*table)),
-            FenceOp::Integrity => FenceData::Integrity(self.integrity()),
-            FenceOp::ShardReport => FenceData::ShardReport {
-                txns: self.txns,
-                busy_us: 0,
-            },
-            FenceOp::TrackVersions(on) => {
-                self.set_track_versions(*on);
-                FenceData::None
-            }
-            FenceOp::Noop => FenceData::None,
-        }
-    }
-
-    /// Applies one command, accumulating busy wall time into `busy_us`.
-    /// This is the worker thread's sole entry point; the inline backend
-    /// bypasses it (and the clock) by calling the operations directly.
-    pub fn apply(&mut self, command: Command, busy_us: &mut u64) -> Reply {
-        // pstore-lint: allow(SA-03): shard busy time is profiler
-        // attribution metadata (surfaced via FenceOp::ShardReport into
-        // registry gauges / opt-in spans), never part of a deterministic
-        // output or a simulated clock; SIM time is stamped sim-side.
-        let start = std::time::Instant::now();
-        let reply = match command {
-            Command::Execute {
-                proc,
-                slot,
-                node,
-                local,
-                in_flight,
-                capture,
-            } => Reply::Fate(self.execute(proc.as_ref(), slot, node, local, in_flight, capture)),
-            Command::Chunk {
-                slot,
-                from,
-                to,
-                local,
-                budget,
-            } => {
-                let (rows, bytes, emptied) = self.migrate_chunk(slot, from, to, local, budget);
-                Reply::Chunk {
-                    rows,
-                    bytes,
-                    emptied,
-                }
-            }
-            Command::Fence { epoch, op } => {
-                let data = if matches!(op, FenceOp::ShardReport) {
-                    FenceData::ShardReport {
-                        txns: self.txns,
-                        busy_us: *busy_us,
-                    }
-                } else {
-                    self.apply_fence_op(&op)
-                };
-                Reply::FenceAck { epoch, data }
-            }
-        };
-        *busy_us =
-            busy_us.saturating_add(u64::try_from(start.elapsed().as_micros()).unwrap_or(u64::MAX));
-        reply
-    }
-}
-
-/// The epoch gate of the reconfiguration fence (CON-05). The coordinator
-/// bumps an epoch, sends each shard a [`Command::Fence`], and collects
-/// every [`Reply::FenceAck`] — at which point all shards are quiesced and
-/// holding. Global structural changes happen in that window; releasing
-/// the epoch (a `Release` store acquired by each holding shard's poll)
-/// lets the shards resume, with the coordinator's writes visible.
-#[derive(Debug)]
-pub struct FenceGate {
-    released: crate::sync::AtomicU64,
-}
-
-impl FenceGate {
-    /// A gate with no epochs released yet.
-    pub fn new() -> Self {
-        FenceGate {
-            released: crate::sync::AtomicU64::new(0),
-        }
-    }
-
-    /// Releases `epoch` (and every earlier one).
-    pub fn release(&self, epoch: u64) {
-        self.released.store(epoch, crate::sync::Ordering::Release);
-    }
-
-    /// Whether `epoch` has been released.
-    pub fn is_released(&self, epoch: u64) -> bool {
-        self.released.load(crate::sync::Ordering::Acquire) >= epoch
-    }
-}
-
-impl Default for FenceGate {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-/// Body of one executor-shard thread: apply commands in FIFO order,
-/// reply in kind, and hold at fences until the coordinator releases the
-/// epoch. A panic inside a command is caught, reported as
-/// [`Reply::Panicked`] (so the coordinator can attribute it to this
-/// shard exactly like a panicking sweep cell), and shuts the shard down.
-pub fn worker_loop(
-    mut state: ShardState,
-    cmd: &crate::mailbox::Mailbox<Command>,
-    reply: &crate::mailbox::Mailbox<Reply>,
-    gate: &FenceGate,
-) {
-    let mut busy_us = 0u64;
-    while let Some(command) = cmd.recv() {
-        let fence_epoch = match &command {
-            Command::Fence { epoch, .. } => Some(*epoch),
-            _ => None,
-        };
-        let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            state.apply(command, &mut busy_us)
-        }));
-        match outcome {
-            Ok(r) => {
-                if reply.send(r).is_err() {
-                    return; // coordinator gone
-                }
-            }
-            Err(payload) => {
-                // `as_ref` reaches the payload itself; `&payload` would
-                // coerce the Box into the `dyn Any` and never downcast.
-                let _ = reply.send(Reply::Panicked {
-                    message: panic_message(payload.as_ref()),
-                });
-                return;
-            }
-        }
-        if let Some(epoch) = fence_epoch {
-            // Quiesced hold: acknowledged, now parked until the
-            // coordinator's global operation completes. A closed command
-            // mailbox means shutdown — stop holding so Drop can join.
-            let mut spins = 0u32;
-            while !gate.is_released(epoch) && !cmd.is_closed() {
-                crate::sync::backoff(spins);
-                spins = spins.saturating_add(1);
-            }
-        }
-    }
-}
-
-/// Renders a panic payload for cross-thread attribution.
-fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "non-string panic payload".to_string()
     }
 }
 

@@ -107,7 +107,7 @@ pub struct RwSet {
 /// write it is the version *installed* by this transaction. The version
 /// counters live in the partition store (see
 /// [`PartitionStore::bump_version`]) so histories stay meaningful across
-/// shards, migrations, and Squall restarts.
+/// partitions, migrations, and Squall restarts.
 pub type KeyAccess = (TableId, Key, u64);
 
 /// Fault-injection knob for the `ISO-*` seeded-bug twin tests (test

@@ -179,14 +179,6 @@ impl KeyValue {
             KeyValue::Str(s) => 24 + s.len(),
         }
     }
-
-    /// Converts back into a column [`Value`].
-    pub fn to_value(&self) -> Value {
-        match self {
-            KeyValue::Int(i) => Value::Int(*i),
-            KeyValue::Str(s) => Value::Str(s.clone()),
-        }
-    }
 }
 
 impl Key {

@@ -128,9 +128,7 @@ fn warm_engine_dispatch_path_is_allocation_free() {
     // Warm up: touch every slot so the dense per-partition counters have
     // grown to their final size and the procedure-stats entry exists.
     for key in 0..WARMUP_KEYS {
-        let p = Probe::new(key);
-        let slot = cluster.slot_of_routing(&p.routing_key());
-        cluster.execute_at_slot(&p, slot).unwrap();
+        cluster.execute(&Probe::new(key)).unwrap();
     }
 
     // Probe keys are a subset of the warm-up keys, so no lookup below
@@ -138,8 +136,7 @@ fn warm_engine_dispatch_path_is_allocation_free() {
     let probes: Vec<Probe> = (0..PROBE_KEYS).map(Probe::new).collect();
     let (n, ()) = allocations(|| {
         for p in &probes {
-            let slot = cluster.slot_of_routing(&p.routing_key());
-            cluster.execute_at_slot(p, slot).unwrap();
+            cluster.execute(p).unwrap();
         }
     });
     assert_eq!(
@@ -217,8 +214,7 @@ fn slot_access_reset_keeps_buffers_and_stays_allocation_free() {
     let (n, ()) = allocations(|| {
         cluster.reset_slot_accesses();
         for p in &probes {
-            let slot = cluster.slot_of_routing(&p.routing_key());
-            cluster.execute_at_slot(p, slot).unwrap();
+            cluster.execute(p).unwrap();
         }
         let counts = cluster.slot_access_counts();
         assert_eq!(

@@ -142,11 +142,6 @@ impl OnlinePredictor {
     pub fn fit_failures(&self) -> u64 {
         self.fit_failures
     }
-
-    /// The most recent observation.
-    pub fn last_observation(&self) -> Option<f64> {
-        self.history.last().copied()
-    }
 }
 
 impl std::fmt::Debug for OnlinePredictor {

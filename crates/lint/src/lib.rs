@@ -6,7 +6,7 @@
 //! conventions those layers depend on before any schedule can exhibit a
 //! violation, in the spirit of predictive analyses like IsoPredict.
 //!
-//! Seven rules with stable ids (see `docs/static_analysis.md` for the
+//! Six rules with stable ids (see `docs/static_analysis.md` for the
 //! full catalogue, waiver syntax and JSON schema):
 //!
 //! * **SA-01** — invariant-registry coherence: every `InvariantId` code
@@ -26,9 +26,6 @@
 //!   run also emits a workspace unsafe inventory.
 //! * **SA-06** — every `#[allow(...)]` of a workspace-denied lint
 //!   carries a justification comment.
-//! * **SA-07** — sharded-engine sync hygiene: inside `pstore-dbms` every
-//!   `std::sync` / `std::thread` path (tests included, `Arc` included)
-//!   goes through the loom-modellable `crate::sync` shim.
 //!
 //! Findings can be waived inline with a comment naming the rule and a
 //! mandatory reason — `pstore-lint: allow(SA-03): documented why` — on
@@ -50,11 +47,11 @@ pub use waiver::Waiver;
 
 /// Stable rule identifiers. `SA-00` is the meta-rule for malformed
 /// waivers.
-pub const RULE_IDS: [&str; 8] = [
-    "SA-00", "SA-01", "SA-02", "SA-03", "SA-04", "SA-05", "SA-06", "SA-07",
+pub const RULE_IDS: [&str; 7] = [
+    "SA-00", "SA-01", "SA-02", "SA-03", "SA-04", "SA-05", "SA-06",
 ];
 
-/// True if `id` names a known rule (`SA-00` … `SA-07`).
+/// True if `id` names a known rule (`SA-00` … `SA-06`).
 pub fn is_known_rule(id: &str) -> bool {
     RULE_IDS.contains(&id)
 }
@@ -354,7 +351,6 @@ pub fn run(ws: &Workspace) -> LintReport {
     let (sa05, unsafe_inventory) = rules::sa05::check(ws);
     raw.extend(sa05);
     raw.extend(rules::sa06::check(ws));
-    raw.extend(rules::sa07::check(ws));
 
     // Malformed waivers are findings themselves and cannot be waived.
     let mut findings: Vec<Finding> = Vec::new();

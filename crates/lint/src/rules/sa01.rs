@@ -13,6 +13,9 @@
 //!   *registered family* must exist in the registry — dead doc sections
 //!   fail too. (Unknown families are ignored so the doc can discuss
 //!   other systems' rule ids.)
+//!
+//! Codes listed in the registry's `RETIRED_CODES` constant may stay in
+//! the doc (as retired entries) but must never be registered again.
 
 use std::collections::BTreeMap;
 
@@ -53,6 +56,28 @@ fn registry_codes(ws: &Workspace) -> BTreeMap<String, String> {
         }
     }
     out
+}
+
+/// The string literals of the registry's `RETIRED_CODES` constant.
+fn retired_codes(ws: &Workspace) -> Vec<String> {
+    let Some(file) = ws.file(REGISTRY) else {
+        return Vec::new();
+    };
+    let t = &file.lexed.toks;
+    // The initializer runs from the `=` after the name to the next `;`
+    // (the type's `[&str; N]` carries a `;` of its own).
+    let Some(name) = t.iter().position(|x| x.is_ident("RETIRED_CODES")) else {
+        return Vec::new();
+    };
+    let Some(eq) = t[name..].iter().position(|x| x.is_punct('=')) else {
+        return Vec::new();
+    };
+    t[name + eq..]
+        .iter()
+        .take_while(|x| !x.is_punct(';'))
+        .filter(|x| x.kind == TokKind::Str && is_code(&x.text))
+        .map(|x| x.text.clone())
+        .collect()
 }
 
 /// Runs the rule.
@@ -100,6 +125,7 @@ pub fn check(ws: &Workspace) -> Vec<Finding> {
         }
     }
     let doc_text = ws.docs.get(DOC).cloned().unwrap_or_default();
+    let retired = retired_codes(ws);
 
     let verify_codes = codes_in_text(&verify_text);
     let doc_codes = codes_in_text(&doc_text);
@@ -107,6 +133,17 @@ pub fn check(ws: &Workspace) -> Vec<Finding> {
 
     for (code, variant) in &registry {
         let line = registry_line(code);
+        if retired.contains(code) {
+            findings.push(Finding {
+                rule: "SA-01",
+                file: REGISTRY.to_string(),
+                line,
+                message: format!(
+                    "invariant {code} ({variant}) reuses a retired code — retired ids are \
+                     never reassigned; pick the family's next free number"
+                ),
+            });
+        }
         if !verify_codes.contains(code) && !verify_text.contains(variant.as_str()) {
             findings.push(Finding {
                 rule: "SA-01",
@@ -150,7 +187,7 @@ pub fn check(ws: &Workspace) -> Vec<Finding> {
         .collect();
     for code in &doc_codes {
         let fam = code.split('-').next().unwrap_or("");
-        if families.contains(fam) && !registry.contains_key(code) {
+        if families.contains(fam) && !registry.contains_key(code) && !retired.contains(code) {
             let line = doc_text
                 .lines()
                 .position(|l| l.contains(code.as_str()))

@@ -1,4 +1,4 @@
-//! SA-04 — concurrency hygiene for the shard-per-core engine.
+//! SA-04 — concurrency hygiene.
 //!
 //! The CON-01..03 story works because every synchronisation primitive
 //! the pool touches can be swapped to `loom` types under `cfg(loom)`

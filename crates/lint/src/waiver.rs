@@ -37,7 +37,7 @@ impl Waiver {
     pub fn problem(&self) -> Option<String> {
         if !is_known_rule(&self.rule) {
             return Some(format!(
-                "waiver names unknown rule `{}` (known: SA-00..SA-07)",
+                "waiver names unknown rule `{}` (known: SA-00..SA-06)",
                 self.rule
             ));
         }

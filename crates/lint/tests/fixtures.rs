@@ -74,6 +74,7 @@ fn sa01_incoherent_registry_fires() {
     assert_eq!(
         triples(&report),
         vec![
+            ("SA-01".into(), reg.into(), 12),
             ("SA-01".into(), reg.into(), 13),
             ("SA-01".into(), reg.into(), 13),
             ("SA-01".into(), reg.into(), 13),
@@ -81,16 +82,18 @@ fn sa01_incoherent_registry_fires() {
             ("SA-01".into(), "docs/invariants.md".into(), 9),
         ]
     );
-    // The three registry findings are the missing checker, doc section
-    // and test mention for MOV-01; the doc findings are the dead SCH-02
-    // and ISO-02 sections (the fully wired ISO-01 stays silent).
-    assert!(report.findings[0].message.contains("no checker reference"));
-    assert!(report.findings[1].message.contains("no section"));
-    assert!(report.findings[2]
+    // The first registry finding is SCH-01, which is also listed as
+    // retired; the next three are the missing checker, doc section and
+    // test mention for MOV-01; the doc findings are the dead SCH-02 and
+    // ISO-02 sections (the fully wired ISO-01 stays silent).
+    assert!(report.findings[0].message.contains("reuses a retired code"));
+    assert!(report.findings[1].message.contains("no checker reference"));
+    assert!(report.findings[2].message.contains("no section"));
+    assert!(report.findings[3]
         .message
         .contains("never mentioned in a test"));
-    assert!(report.findings[3].message.contains("SCH-02"));
-    assert!(report.findings[4].message.contains("ISO-02"));
+    assert!(report.findings[4].message.contains("SCH-02"));
+    assert!(report.findings[5].message.contains("ISO-02"));
 }
 
 #[test]
@@ -146,8 +149,6 @@ fn sa03_ordered_iteration_passes() {
 
 #[test]
 fn sa04_raw_primitives_and_spawn_fire() {
-    // The fixture lives in `crates/sim` so only SA-04 is exercised;
-    // the same code in `crates/dbms` would additionally trip SA-07.
     let report = lint("sa04_bad");
     let f = "crates/sim/src/lib.rs";
     assert_eq!(
@@ -195,40 +196,6 @@ fn sa06_undocumented_allow_fires() {
 #[test]
 fn sa06_justified_allow_passes() {
     assert_clean("sa06_good");
-}
-
-#[test]
-fn sa07_dbms_sync_outside_shim_fires_even_in_tests() {
-    let report = lint("sa07_bad");
-    let f = "crates/dbms/src/lib.rs";
-    assert_eq!(
-        triples(&report),
-        vec![
-            ("SA-07".into(), f.into(), 1),
-            ("SA-07".into(), f.into(), 8),
-            ("SA-07".into(), f.into(), 15),
-        ]
-    );
-    // The three findings are exactly the gaps SA-04 leaves open: Arc,
-    // a non-spawn thread item, and sync use inside `#[cfg(test)]`.
-    assert!(report.findings[0].message.contains("std::sync::Arc"));
-    assert!(report.findings[1]
-        .message
-        .contains("std::thread::yield_now"));
-    assert!(report.findings[2].message.contains("std::sync::Mutex"));
-    assert!(report
-        .findings
-        .iter()
-        .all(|x| x.message.contains("crate::sync")));
-}
-
-#[test]
-fn sa07_shim_routing_passes_and_waiver_suppresses() {
-    let report = assert_clean("sa07_good");
-    assert_eq!(report.waived.len(), 1);
-    assert_eq!(report.waived[0].finding.rule, "SA-07");
-    assert_eq!(report.waived[0].finding.line, 15);
-    assert!(report.waived[0].reason.contains("host-capacity query"));
 }
 
 #[test]

@@ -15,3 +15,6 @@ impl InvariantId {
         }
     }
 }
+
+/// `SCH-01` is registered above, so listing it here is a reuse.
+pub const RETIRED_CODES: [&str; 1] = ["SCH-01"];

@@ -1,5 +1,8 @@
 /// Registry fixture: every code is cross-referenced, partly via range
-/// shorthand and partly via variant names.
+/// shorthand and partly via variant names; the retired `MOV-02` keeps its
+/// doc entry.
+pub const RETIRED_CODES: [&str; 1] = ["MOV-02"];
+
 pub enum InvariantId {
     ScheduleRoundCount,
     ScheduleRoundStructure,

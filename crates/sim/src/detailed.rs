@@ -92,19 +92,15 @@ pub struct DetailedSimConfig {
     /// aggregates on `SecondMetrics` stay on regardless. Sampled events
     /// are all stamped at the arrival's processing time (end times travel
     /// as fields) so TEL-04's monotone-time invariant holds, and they are
-    /// emitted at the next pipeline flush in arrival order, so the trace
-    /// is identical at every shard count.
+    /// emitted at the next pipeline flush in arrival order.
     pub txn_sample_every: u64,
-    /// Executor shard count for the engine: 1 (the default) runs the
-    /// serial inline engine; larger counts spawn one executor thread per
-    /// shard ([`Cluster::with_shards`]). Clamped to `partitions_per_node`.
-    /// Every simulation output is byte-identical at any shard count.
+    /// Must be `1`: the engine has one inline executor. Kept only because
+    /// the benchmark package (`perfbench/`) sets it; [`run_detailed`]
+    /// panics on any other value.
     pub shards: u32,
-    /// Emit one `shard_exec` span per executor shard at the end of the
-    /// run (transaction count + busy time), plus `shard.N.*` registry
-    /// gauges, so the span profiler can attribute time per shard. Off by
-    /// default: the trace then carries no shard-count-dependent records,
-    /// which is what keeps runs byte-identical across shard counts.
+    /// Must be `false`: there are no executor shards to report on. Kept
+    /// only because the benchmark package (`perfbench/`) sets it;
+    /// [`run_detailed`] panics when it is `true`.
     pub shard_spans: bool,
     /// Emit the provisioning-observatory event family (`prov_run`,
     /// `prov_interval`, `prov_forecast`, `prov_decision`, `prov_reconfig`,
@@ -112,17 +108,6 @@ pub struct DetailedSimConfig {
     /// the gate keeps the default-config trace goldens byte-identical; see
     /// [`prov_events_from_env`].
     pub prov_events: bool,
-}
-
-/// Executor shard count from the `PSTORE_SHARDS` environment variable
-/// (default 1 — the serial engine). Used by [`DetailedSimConfig::paper_defaults`]
-/// and the benchmark binaries so shard count can be swept without code
-/// changes.
-pub fn shards_from_env() -> u32 {
-    std::env::var("PSTORE_SHARDS")
-        .ok()
-        .and_then(|v| v.parse::<u32>().ok())
-        .map_or(1, |n| n.max(1))
 }
 
 /// Provisioning-observatory switch from the `PSTORE_PROV_EVENTS`
@@ -158,7 +143,7 @@ impl DetailedSimConfig {
             max_queue_delay_s: 2.0,
             warmup_txns: 150_000,
             txn_sample_every: 0,
-            shards: shards_from_env(),
+            shards: 1,
             shard_spans: false,
             prov_events: prov_events_from_env(),
         }
@@ -230,8 +215,7 @@ impl Ord for Timed {
 /// time; only the engine-dependent fields (commit/abort, read/write set,
 /// restart flag) wait for the fate, which arrives in submission order.
 /// Deferring *all* sampled events — dropped arrivals too — preserves
-/// arrival-order interleaving in the trace, which is what makes the
-/// telemetry stream byte-identical at every shard count.
+/// arrival-order interleaving in the trace.
 #[cfg(feature = "telemetry")]
 struct SampledTxn {
     id: u64,
@@ -387,16 +371,20 @@ struct ActiveMigration {
     chunks_moved: u64,
     rows_moved: u64,
     bytes_moved: u64,
-    /// Cluster fence-epoch counter when the move began, so the completed
-    /// move can report fence epochs crossed (0 on the inline backend).
-    #[cfg_attr(not(feature = "telemetry"), allow(dead_code))]
-    fence_base: u64,
 }
 
 /// Runs a detailed simulation under the given provisioning strategy.
 pub fn run_detailed(cfg: &DetailedSimConfig, strategy: &mut dyn Strategy) -> DetailedSimResult {
     cfg.params.validate();
     assert!(cfg.monitor_interval_s > 0.0, "monitor interval must be > 0");
+    assert_eq!(
+        cfg.shards, 1,
+        "DetailedSimConfig::shards must be 1: the engine has one inline executor"
+    );
+    assert!(
+        !cfg.shard_spans,
+        "DetailedSimConfig::shard_spans must be false: the engine has no executor shards"
+    );
     let p = cfg.params.partitions_per_node;
 
     // Root span for the whole run; the sim clock starts at 0 so setup
@@ -411,7 +399,7 @@ pub fn run_detailed(cfg: &DetailedSimConfig, strategy: &mut dyn Strategy) -> Det
         }
     };
 
-    let mut cluster = Cluster::with_shards(
+    let mut cluster = Cluster::new(
         b2w_catalog(),
         ClusterConfig {
             partitions_per_node: p,
@@ -420,7 +408,6 @@ pub fn run_detailed(cfg: &DetailedSimConfig, strategy: &mut dyn Strategy) -> Det
         strategy
             .initial_machines()
             .clamp(1, cfg.params.max_machines),
-        cfg.shards.clamp(1, p),
     );
     // The provisioning-observatory gate rides the run: prov_* emission in
     // the controllers (via `ProvScorer`) and in this loop is thread-local,
@@ -437,13 +424,6 @@ pub fn run_detailed(cfg: &DetailedSimConfig, strategy: &mut dyn Strategy) -> Det
                 .with("initial", cluster.active_nodes())
                 .with("policy", strategy.name()),
         );
-    }
-    // Runtime gauges (mailbox depth histograms, fence spans) ride the
-    // same opt-in as per-shard spans: both exist to look inside the
-    // threaded engine, and both must stay off for byte-stable defaults.
-    #[cfg(feature = "telemetry")]
-    if cfg.shard_spans && pstore_telemetry::enabled() {
-        cluster.set_runtime_gauges(true);
     }
     // Key-level version tracking rides the sampling switch: goldens run
     // with `txn_sample_every = 0` and keep the engine version-free (and
@@ -486,8 +466,7 @@ pub fn run_detailed(cfg: &DetailedSimConfig, strategy: &mut dyn Strategy) -> Det
     fates.clear();
     // Untimed warm-up: run the generator until carts/checkouts/stock-txn
     // populations reach steady state so the database size is stable.
-    // Pipelined: shards execute concurrently while the generator keeps
-    // producing; fates are discarded in batches.
+    // Fates are discarded in batches.
     for _ in 0..cfg.warmup_txns {
         let txn = gen.next_txn();
         let slot = cluster.slot_of_routing(&txn.routing_key());
@@ -614,10 +593,9 @@ pub fn run_detailed(cfg: &DetailedSimConfig, strategy: &mut dyn Strategy) -> Det
                     }
                     continue;
                 }
-                // Ship the transaction to its slot's shard; the fate comes
-                // back (in submission order) at the next flush. All timing
-                // is decided here, sim-side, so the RNG draw sequence is
-                // independent of shard count. Sampled transactions carry a
+                // Submit the transaction; its fate is collected (in
+                // submission order) at the next flush. All timing is
+                // decided here, sim-side. Sampled transactions carry a
                 // trace tag so the engine captures their key-level
                 // read/write sets into the fate.
                 #[cfg(feature = "telemetry")]
@@ -846,8 +824,7 @@ pub fn run_detailed(cfg: &DetailedSimConfig, strategy: &mut dyn Strategy) -> Det
                                 .with("duration_s", time - started)
                                 .with("chunks", m.chunks_moved)
                                 .with("rows", m.rows_moved)
-                                .with("bytes", m.bytes_moved)
-                                .with("fences", cluster.fence_epochs() - m.fence_base),
+                                .with("bytes", m.bytes_moved),
                         );
                     }
                     migration = None;
@@ -889,36 +866,6 @@ pub fn run_detailed(cfg: &DetailedSimConfig, strategy: &mut dyn Strategy) -> Det
     // out of LIFO order (TEL-02); close it explicitly, marked truncated.
     if migration.is_some() {
         cluster.end_truncated_reconfig_span();
-    }
-    // Per-shard execution attribution (opt-in): one zero-length
-    // `shard_exec` span per shard carrying its transaction count and busy
-    // wall time, plus `shard.N.*` registry gauges, so the span profiler
-    // can attribute engine time per executor thread. Gated behind
-    // `shard_spans` because the record count would otherwise vary with
-    // shard count and break cross-shard byte-identity.
-    #[cfg(feature = "telemetry")]
-    if cfg.shard_spans && pstore_telemetry::enabled() {
-        for (i, rep) in cluster.shard_reports().iter().enumerate() {
-            let span = pstore_telemetry::begin_span(
-                "shard_exec",
-                &[("shard", pstore_telemetry::Value::from(i as u64))],
-            );
-            pstore_telemetry::end_span(
-                "shard_exec",
-                span,
-                &[
-                    ("txns", pstore_telemetry::Value::from(rep.txns)),
-                    ("busy_us", pstore_telemetry::Value::from(rep.busy_us)),
-                ],
-            );
-            pstore_telemetry::with_registry(|reg| {
-                #[allow(clippy::cast_precision_loss)] // counters far below 2^53
-                {
-                    reg.set_gauge(&format!("shard.{i}.txns"), rep.txns as f64);
-                    reg.set_gauge(&format!("shard.{i}.busy_us"), rep.busy_us as f64);
-                }
-            });
-        }
     }
     // Flush the recorder's trailing seconds before the root span closes,
     // so their `second` events land inside the run and trace analyses
@@ -1016,9 +963,6 @@ fn start_migration(
     seq: &mut u64,
 ) -> ActiveMigration {
     let before = cluster.active_nodes();
-    // Captured before the reconfiguration installs, so barrier fences of
-    // the move itself are counted in its `prov_reconfig` summary.
-    let fence_base = cluster.fence_epochs();
     let db_bytes = cluster.total_bytes() as f64;
     cluster
         .begin_reconfiguration(target)
@@ -1052,7 +996,6 @@ fn start_migration(
         chunks_moved: 0,
         rows_moved: 0,
         bytes_moved: 0,
-        fence_base,
     };
     // Start round 0 (skipping over rounds whose pairs have no slots).
     m.current_round = usize::MAX; // advance_round starts at 0
@@ -1517,48 +1460,37 @@ mod tests {
     }
 
     #[test]
-    fn sharded_run_matches_serial_exactly() {
-        // The tentpole determinism claim at simulator granularity: the
-        // same run on the threaded engine (4 shards) and the serial
-        // inline engine must agree on every observable, to the bit —
-        // including through a reconfiguration (the reactive controller
-        // scales out mid-run under this load).
-        let mut load: Vec<f64> = (0..60).map(|s| 300.0 + 400.0 * s as f64 / 60.0).collect();
-        load.extend(vec![700.0; 120]);
-        let run = |shards: u32| {
-            let mut cfg = test_cfg(load.clone(), 7);
-            cfg.shards = shards;
-            let mut strat = ReactiveController::new(ReactiveConfig {
-                q: 285.0,
-                q_hat: 350.0,
-                trigger_fraction: 0.9,
-                headroom: 0.2,
-                smoothing_window: 2,
-                scale_in_patience: 10,
-                max_machines: 10,
-                initial_machines: 2,
-            });
-            run_detailed(&cfg, &mut strat)
-        };
-        let serial = run(1);
-        let sharded = run(4);
-        assert!(
-            !serial.reconfig_spans.is_empty(),
-            "load curve should force a reconfiguration"
-        );
-        assert_eq!(serial.committed, sharded.committed);
-        assert_eq!(serial.aborted, sharded.aborted);
-        assert_eq!(serial.dropped, sharded.dropped);
-        assert_eq!(serial.violations, sharded.violations);
-        assert_eq!(serial.reconfig_spans, sharded.reconfig_spans);
-        assert_eq!(serial.procedure_mix, sharded.procedure_mix);
-        assert_eq!(serial.seconds.len(), sharded.seconds.len());
-        for (a, b) in serial.seconds.iter().zip(&sharded.seconds) {
-            assert_eq!(a.p99, b.p99, "second {}", a.second);
-            assert_eq!(a.mean, b.mean, "second {}", a.second);
-            assert_eq!(a.throughput, b.throughput, "second {}", a.second);
-            assert_eq!(a.machines, b.machines, "second {}", a.second);
-            assert_eq!(a.attr_stall, b.attr_stall, "second {}", a.second);
+    fn retired_shard_fields_are_rejected_by_name() {
+        // `shards` and `shard_spans` survive only as fixed values; any
+        // other value must fail loudly and name the field.
+        let base = test_cfg(vec![300.0; 30], 7);
+        let cases = [
+            (
+                "DetailedSimConfig::shards must be 1",
+                DetailedSimConfig {
+                    shards: 2,
+                    ..base.clone()
+                },
+            ),
+            (
+                "DetailedSimConfig::shard_spans must be false",
+                DetailedSimConfig {
+                    shard_spans: true,
+                    ..base
+                },
+            ),
+        ];
+        for (expected, cfg) in cases {
+            let err = std::panic::catch_unwind(|| {
+                run_detailed(&cfg, &mut StaticController::new(2));
+            })
+            .expect_err("run_detailed accepted a retired field value");
+            let msg = err
+                .downcast_ref::<String>()
+                .cloned()
+                .or_else(|| err.downcast_ref::<&str>().map(|m| (*m).to_string()))
+                .unwrap_or_default();
+            assert!(msg.contains(expected), "panic message: {msg}");
         }
     }
 

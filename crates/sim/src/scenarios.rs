@@ -9,7 +9,6 @@
 
 // Scenario construction quantises trace time into whole slots.
 #![allow(clippy::cast_possible_truncation, clippy::cast_sign_loss)]
-use crate::detailed::per_interval_load;
 use pstore_core::controller::baselines::{SimpleController, StaticController};
 use pstore_core::controller::forecaster::{OracleForecaster, SparForecaster};
 use pstore_core::controller::pstore::{PStoreConfig, PStoreController};
@@ -335,12 +334,6 @@ pub fn per_tick(minutes: &[f64]) -> Vec<f64> {
         .chunks(5)
         .map(|w| w.iter().sum::<f64>() / w.len() as f64)
         .collect()
-}
-
-/// Per-interval loads aligned with the detailed simulator's monitor ticks,
-/// for building oracle forecasters from a wall-second curve.
-pub fn oracle_ticks(wall_seconds: &[f64], monitor_interval_s: f64) -> Vec<f64> {
-    per_interval_load(wall_seconds, monitor_interval_s)
 }
 
 #[cfg(test)]

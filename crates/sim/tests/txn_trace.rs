@@ -76,11 +76,9 @@ fn controller() -> ReactiveController {
     })
 }
 
-/// Run the ramp scenario at a given shard count and capture the full
-/// event trace.
-fn captured_ramp_run(shards: u32) -> Vec<pstore_telemetry::Event> {
-    let mut cfg = ramp_cfg();
-    cfg.shards = shards;
+/// Run the ramp scenario and capture the full event trace.
+fn captured_ramp_run() -> Vec<pstore_telemetry::Event> {
+    let cfg = ramp_cfg();
     let (sink, handle) = MemorySink::new();
     let _guard = pstore_telemetry::install(Rc::new(sink));
     let mut strat = controller();
@@ -94,7 +92,7 @@ fn captured_ramp_run(shards: u32) -> Vec<pstore_telemetry::Event> {
 
 #[test]
 fn sampled_txn_trace_satisfies_tel06_and_txn01() {
-    let events = captured_ramp_run(1);
+    let events = captured_ramp_run();
     let count = |kind: &str| events.iter().filter(|ev| ev.kind == kind).count();
     let arrivals = count(kinds::TXN_ARRIVE);
     assert!(arrivals > 1_000, "only {arrivals} sampled arrivals");
@@ -128,42 +126,37 @@ fn sampled_txn_trace_satisfies_tel06_and_txn01() {
     assert!(runs[0].stall_s > 0.0, "no stall time attributed");
 }
 
-/// End-to-end key-level trace check: the same fixed-seed reactive
-/// scale-out run, at shards 1 and 4, yields sampled key-version
-/// histories that pass ISO-01..03 — the sharded engine's commit order
-/// is conflict-serializable, reads only observe already-committed
-/// versions, and migration restarts leave no orphan versions. At
-/// shards=1 the commit order is additionally a valid *serial witness*:
-/// every dependency edge points forward, so the single-shard execution
+/// End-to-end key-level trace check: the fixed-seed reactive scale-out
+/// run yields sampled key-version histories that pass ISO-01..03 — the
+/// engine's commit order is conflict-serializable, reads only observe
+/// already-committed versions, and migration restarts leave no orphan
+/// versions. The commit order is additionally a valid *serial witness*:
+/// every dependency edge points forward, so the serial execution
 /// literally is the equivalent serial order the checker certifies.
 #[test]
-fn key_level_histories_pass_iso_checks_at_one_and_four_shards() {
-    for shards in [1u32, 4] {
-        let events = captured_ramp_run(shards);
-        let histories = match iso::histories_of(&events) {
-            Ok(h) => h,
-            Err(e) => panic!("shards={shards}: undecodable key history: {e}"),
-        };
-        let stats = iso::dsg_stats(&histories);
-        assert!(
-            stats.txns > 1_000,
-            "shards={shards}: only {} sampled key-level histories",
-            stats.txns
-        );
-        assert!(
-            stats.wr + stats.ww + stats.rw > 0,
-            "shards={shards}: vacuous history (no dependency edges): {stats:?}"
-        );
+fn key_level_histories_pass_iso_checks() {
+    let events = captured_ramp_run();
+    let histories = match iso::histories_of(&events) {
+        Ok(h) => h,
+        Err(e) => panic!("undecodable key history: {e}"),
+    };
+    let stats = iso::dsg_stats(&histories);
+    assert!(
+        stats.txns > 1_000,
+        "only {} sampled key-level histories",
+        stats.txns
+    );
+    assert!(
+        stats.wr + stats.ww + stats.rw > 0,
+        "vacuous history (no dependency edges): {stats:?}"
+    );
 
-        let violations = iso::check_key_histories("txn_trace", &histories);
-        assert!(violations.is_empty(), "shards={shards}: {violations:?}");
+    let violations = iso::check_key_histories("txn_trace", &histories);
+    assert!(violations.is_empty(), "{violations:?}");
 
-        if shards == 1 {
-            let backward = iso::serial_witness_errors(&histories);
-            assert!(
-                backward.is_empty(),
-                "shards=1 commit order is not a serial witness: {backward:?}"
-            );
-        }
-    }
+    let backward = iso::serial_witness_errors(&histories);
+    assert!(
+        backward.is_empty(),
+        "commit order is not a serial witness: {backward:?}"
+    );
 }

@@ -469,8 +469,7 @@ pub mod kinds {
     /// A reconfiguration completed, attributed to its decision: `id`
     /// (the `prov_decision` id, 0 = unattributed), `from`, `to`,
     /// `start` (sim time the move began), `duration_s`, `chunks`,
-    /// `rows`, `bytes`, `fences` (fence epochs crossed; 0 on the inline
-    /// backend, which never fences) (PRV-02).
+    /// `rows`, `bytes` (PRV-02).
     pub const PROV_RECONFIG: &str = "prov_reconfig";
     /// One chunk-move burst attributed to a decision: `id` (decision),
     /// `from`, `to`, `bytes`. Cheaper sibling of [`CHUNK_MOVE`] carrying
@@ -498,13 +497,6 @@ pub mod span_names {
     pub const TICK: &str = "tick";
     /// One chunk-granularity migration step inside a reconfiguration.
     pub const CHUNK_STEP: &str = "chunk_step";
-    /// Per-executor-shard attribution span (transaction count + busy
-    /// time), emitted at end of run when `shard_spans` is enabled.
-    pub const SHARD_EXEC: &str = "shard_exec";
-    /// One reconfiguration fence round-trip on the threaded cluster
-    /// (begin fields: `epoch`; end fields: `quiesce_us`), emitted only
-    /// when runtime gauges are enabled.
-    pub const FENCE: &str = "fence";
     /// Per-worker unit of work in the concurrency verification harness.
     pub const CON_WORK: &str = "con_work";
     /// Generic worker span used by pool/sweep smoke tests.

@@ -86,8 +86,6 @@ pub struct ProvReconfig {
     pub rows: u64,
     /// Bytes migrated.
     pub bytes: u64,
-    /// Fence epochs crossed (0 on the inline backend).
-    pub fences: u64,
 }
 
 /// One scored forecast (a `prov_forecast` event): a prediction joined
@@ -335,7 +333,6 @@ impl RunBuilder {
                     chunks: ev.field_u64("chunks").unwrap_or(0),
                     rows: ev.field_u64("rows").unwrap_or(0),
                     bytes: ev.field_u64("bytes").unwrap_or(0),
-                    fences: ev.field_u64("fences").unwrap_or(0),
                 });
             }
             kinds::SECOND if ev.field_f64("p99").unwrap_or(0.0) > SLA_THRESHOLD_S => {
@@ -592,8 +589,8 @@ pub fn render(runs: &[RunProv]) -> String {
             any = true;
             let cost = match r.reconfig_of(d.id) {
                 Some(m) => format!(
-                    "{} chunks / {} rows / {} bytes / {} fences in {:.0}s",
-                    m.chunks, m.rows, m.bytes, m.fences, m.duration_s
+                    "{} chunks / {} rows / {} bytes in {:.0}s",
+                    m.chunks, m.rows, m.bytes, m.duration_s
                 ),
                 None => "no completed reconfig".to_string(),
             };
@@ -863,8 +860,7 @@ mod tests {
                     .with("duration_s", 50.0)
                     .with("chunks", 64u64)
                     .with("rows", 4096u64)
-                    .with("bytes", 1_000_000u64)
-                    .with("fences", 3u64),
+                    .with("bytes", 1_000_000u64),
                 60.0,
             ),
             span(kinds::SPAN_END, 300.0, 1, span_names::DETAILED_SIM),
@@ -874,8 +870,8 @@ mod tests {
         let r = &runs[0];
         assert_eq!(r.decisions.len(), 1);
         assert_eq!(r.reconfigs.len(), 1);
-        let joined = r.reconfig_of(1).map(|m| (m.chunks, m.fences));
-        assert_eq!(joined, Some((64, 3)));
+        let joined = r.reconfig_of(1).map(|m| (m.chunks, m.bytes));
+        assert_eq!(joined, Some((64, 1_000_000)));
         assert!(r.reconfig_of(0).is_none());
         let text = render(&runs);
         assert!(text.contains("capacity ledger"));

@@ -237,11 +237,6 @@ impl LiveMetrics {
         self.events_by_kind.get(kind).copied().unwrap_or(0)
     }
 
-    /// Total events observed.
-    pub fn events_total(&self) -> u64 {
-        self.events_by_kind.values().sum()
-    }
-
     fn push_series(&mut self, name: &str, t: f64, value: f64) {
         self.series
             .entry(name.to_string())

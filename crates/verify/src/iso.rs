@@ -1,6 +1,6 @@
 //! Serializability checkers: the `ISO-*` invariant family.
 //!
-//! The sharded engine samples key-level version histories into widened
+//! The engine samples key-level version histories into widened
 //! `txn_rwset` events (`rset` / `wset` fields — see
 //! `docs/observability.md`). This module decodes those histories and
 //! checks them IsoPredict-style (PAPERS.md): build the direct
@@ -499,9 +499,9 @@ pub fn check_events(artifact: &str, events: &[Event]) -> Vec<Violation> {
 
 /// Lists every DSG edge that points *backward* in the commit order. An
 /// empty result means the commit order itself is a valid serial
-/// execution of the history — the "serial witness" a shards=1 run must
-/// always produce, since the inline engine executes transactions one at
-/// a time in exactly that order.
+/// execution of the history — the "serial witness" every run must
+/// produce, since the engine executes transactions one at a time in
+/// exactly that order.
 pub fn serial_witness_errors(histories: &[TxnHistory]) -> Vec<String> {
     let dsg = build_dsg(histories);
     let mut errors = Vec::new();
@@ -520,6 +520,46 @@ pub fn serial_witness_errors(histories: &[TxnHistory]) -> Vec<String> {
         }
     }
     errors
+}
+
+/// One fixed-seed detailed run under a capturing sink — a load ramp
+/// (300 -> 700 txn/s over 60 s, then steady) that forces the reactive
+/// controller into a live scale-out, with one arrival in seven sampled
+/// at key level. Shared with the iso sweep in `main.rs`.
+#[cfg(feature = "telemetry")]
+pub fn captured_ramp_run() -> (pstore_sim::detailed::DetailedSimResult, Vec<Event>) {
+    use pstore_core::controller::reactive::{ReactiveConfig, ReactiveController};
+    use pstore_sim::detailed::{run_detailed, DetailedSimConfig};
+
+    let mut load: Vec<f64> = (0..60)
+        .map(|s| 300.0 + 400.0 * f64::from(s) / 60.0)
+        .collect();
+    load.extend(vec![700.0; 120]);
+    let mut cfg = DetailedSimConfig::paper_defaults(load, 0xBEEF);
+    // The paper's 300 s decision interval would outlast this 180 s ramp;
+    // tighten it so the reactive controller actually scales out mid-run.
+    cfg.params.interval = std::time::Duration::from_secs(30);
+    cfg.params.d = std::time::Duration::from_secs(300);
+    cfg.workload.num_skus = 2_000;
+    cfg.workload.initial_carts = 600;
+    cfg.num_slots = 360;
+    cfg.warmup_txns = 20_000;
+    cfg.txn_sample_every = 7;
+    let mut strat = ReactiveController::new(ReactiveConfig {
+        q: 285.0,
+        q_hat: 350.0,
+        trigger_fraction: 0.9,
+        headroom: 0.2,
+        smoothing_window: 2,
+        scale_in_patience: 10,
+        max_machines: 10,
+        initial_machines: 2,
+    });
+    let (sink, handle) = pstore_telemetry::MemorySink::new();
+    let guard = pstore_telemetry::install(std::rc::Rc::new(sink));
+    let result = run_detailed(&cfg, &mut strat);
+    drop(guard);
+    (result, handle.events())
 }
 
 #[cfg(test)]

@@ -16,16 +16,11 @@
 //! * [`telemetry`] — telemetry traces and metrics: span pairing and LIFO
 //!   nesting over event streams, histogram-merge associativity
 //!   (`TEL-01..03`, see docs/observability.md).
-//! * [`concurrency`] — the parallel sweep surface and the sharded
-//!   execution engine: fault-injected pools lose no cell and attribute
-//!   failures deterministically, the ordered merge observes every
-//!   cell's results and telemetry, cells never see another cell's
-//!   registry state (`CON-01..03`; exhaustive interleaving layer in
-//!   `vendor/rayon/tests/loom_models.rs`), the engine's mailbox routing
-//!   delivers every fate exactly once and in order, and its
-//!   reconfiguration fence excludes in-flight shard execution
-//!   (`CON-04/05`; exhaustive layer in
-//!   `crates/dbms/tests/loom_models.rs`).
+//! * [`concurrency`] — the parallel sweep surface: fault-injected pools
+//!   lose no cell and attribute failures deterministically, the ordered
+//!   merge observes every cell's results and telemetry, cells never see
+//!   another cell's registry state (`CON-01..03`; exhaustive
+//!   interleaving layer in `vendor/rayon/tests/loom_models.rs`).
 //! * [`prov`] — the provisioning observatory's `prov_*` event family:
 //!   the capacity ledger conserves machine-seconds against the raw
 //!   per-interval stream (`PRV-01`), every reconfiguration traces to

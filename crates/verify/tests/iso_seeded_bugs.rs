@@ -1,5 +1,5 @@
-//! ISO-01/02 seeded-bug twin tests, mirroring the CON-04/05 twin
-//! pattern in `crates/dbms/tests/loom_models.rs`: each anomaly has a
+//! ISO-01/02 seeded-bug twin tests, mirroring the CON-01..03 twin
+//! pattern in `vendor/rayon/tests/loom_models.rs`: each anomaly has a
 //! positive test proving the checker names the violating cycle/edge,
 //! and a `#[should_panic(expected = "ISO-xx seeded bug")]` twin that
 //! asserts the seeded history is clean — which must fail, proving the
@@ -13,7 +13,7 @@
 //! a read from the future — while execution itself stays correct. The
 //! workloads below run against the real partition store and execution
 //! context with version tracking on, i.e. the same capture path the
-//! sharded engine uses for sampled transactions.
+//! engine uses for sampled transactions.
 
 use pstore_dbms::partition::PartitionStore;
 use pstore_dbms::txn::seeded_bugs::{arm, ReadBug};

@@ -178,8 +178,7 @@ fn faithful_trace(story: &StorySpec) -> Vec<Event> {
                     .with("duration_s", story.interval_s / 2.0)
                     .with("chunks", d.chunk_bytes.len())
                     .with("rows", total / 16)
-                    .with("bytes", total)
-                    .with("fences", 2u64),
+                    .with("bytes", total),
             );
         }
     }

@@ -43,14 +43,12 @@ HOST="$(rustc +nightly -vV | sed -n 's/^host: //p')"
 # The sanitizer-instrumented targets. Each entry is "<cargo args>": the
 # vendored pool's own tests, the fault-injected sweep suite that drives
 # it from pstore-bench, the telemetry sink/exposer tests, and the
-# sharded execution engine (mailbox handoff, reconfig fence, panic
-# propagation across the coordinator/shard threads).
+# execution engine's unit tests (memory errors under ASan).
 TARGETS=(
     "-p rayon --lib"
     "-p pstore-bench --lib"
     "-p pstore-telemetry --lib"
     "-p pstore-dbms --lib"
-    "-p pstore-dbms --test sharded_engine"
 )
 
 for SAN in "${SANITIZERS[@]}"; do
@@ -65,11 +63,9 @@ for SAN in "${SANITIZERS[@]}"; do
             cargo +nightly test -q -Zbuild-std --target "$HOST" $T
     done
     step "pstore-verify sweep incl. ISO serializability phase ($SAN sanitizer)"
-    # The full invariant sweep (sharded-engine byte-identity plus the
-    # ISO-01..03 key-level history phase at shards 1/2/4) under real
-    # instrumented threads: key-version capture crosses the
-    # coordinator/shard mailboxes, so the sanitizer sees the complete
-    # handoff of sampled read/write sets.
+    # The full invariant sweep (the CON-01..03 pool checks plus the
+    # ISO-01..03 key-level history phase) under real instrumented
+    # threads.
     RUSTFLAGS="-Zsanitizer=$SAN" \
     CARGO_TARGET_DIR="target/san-$SAN" \
         cargo +nightly run -q -Zbuild-std --target "$HOST" \

@@ -33,34 +33,33 @@ step "cargo clippy (telemetry feature) -- -D warnings"
 cargo clippy -q -p pstore-bench -p pstore-sim --all-targets \
     --features telemetry -- -D warnings
 
-step "pstore-lint: project-specific static analysis (SA-01..07)"
+step "pstore-lint: project-specific static analysis (SA-00..06)"
 # Source-level rules clippy cannot express: invariant-registry coherence,
 # telemetry kind/span discipline, determinism, concurrency hygiene,
-# SAFETY comments, #[allow] justifications, dbms sync-shim routing. See
-# docs/static_analysis.md.
+# SAFETY comments, #[allow] justifications. See docs/static_analysis.md.
 cargo run -q --release -p pstore-lint
 
-step "pstore-verify invariant sweep (incl. sharded engine at shards 1 and 4)"
-# The telemetry feature arms the sharded-sim stream comparison: serial
-# and threaded backends must emit identical telemetry after span-id
-# renumbering, checked by every TEL/TXN checker on both streams.
+step "pstore-verify invariant sweep (incl. ISO and PRV phases)"
+# The telemetry feature arms the ISO and PRV phases: fixed-seed
+# detailed runs whose captured traces go through the ISO/PRV checkers
+# and the TEL/TXN battery.
 cargo run -q --release -p pstore-verify --features telemetry
 
 step "microbenchmarks compile (cargo bench --no-run)"
 cargo bench -q --no-run
 
-step "perf baseline smoke + sweep determinism (--threads 1 vs 2, shards 1 vs 4)"
+step "perf baseline smoke + sweep determinism (--threads 1 vs 2)"
 BENCH_T1="$(mktemp /tmp/pstore-bench-t1.XXXXXX.json)"
 BENCH_T2="$(mktemp /tmp/pstore-bench-t2.XXXXXX.json)"
-# The shards=1 row is also gated against the committed baseline: the
-# serial engine must keep >= 95% of BENCH_sim.json's throughput.
+# The serial run is also gated against the committed baseline: it must
+# keep >= 95% of BENCH_sim.json's throughput.
 cargo run -q --release -p pstore-bench --bin bench_baseline -- \
-    --quick --threads 1 --shards 1,4 --quiet --out "$BENCH_T1" \
+    --quick --threads 1 --quiet --out "$BENCH_T1" \
     --check-against BENCH_sim.json > /dev/null
 cargo run -q --release -p pstore-bench --bin bench_baseline -- \
-    --quick --threads 2 --shards 1,4 --quiet --out "$BENCH_T2" > /dev/null
-# Timing fields legitimately differ; the simulation counters must not —
-# neither across thread counts nor across the per-shard-count rows.
+    --quick --threads 2 --quiet --out "$BENCH_T2" > /dev/null
+# Timing fields legitimately differ; the simulation counters must not
+# differ across thread counts.
 diff <(grep -E 'committed_txns|dropped_txns|"cells"' "$BENCH_T1") \
      <(grep -E 'committed_txns|dropped_txns|"cells"' "$BENCH_T2")
 rm -f "$BENCH_T1" "$BENCH_T2"
@@ -131,10 +130,6 @@ if [[ "$QUICK" == "0" ]]; then
     # Exhaustively explores the pool's interleavings with its primitives
     # swapped to the vendored loom types (see docs/invariants.md).
     RUSTFLAGS="--cfg loom" cargo test -q -p rayon --release
-    step "loom model checking: sharded-engine invariants (CON-04..05)"
-    # Mailbox handoff and reconfig fence, with should_panic seeded-bug
-    # twins; the dbms crate's sync shim swaps to loom types here.
-    RUSTFLAGS="--cfg loom" cargo test -q -p pstore-dbms --release --test loom_models
     if cargo miri --version > /dev/null 2>&1; then
         step "cargo miri test: UB check on core crates + dbms engine"
         cargo miri test -q -p pstore-core -p pstore-forecast -p pstore-dbms
