@@ -758,20 +758,6 @@ impl Procedure for B2wTxn {
     }
 }
 
-impl B2wTxn {
-    /// Whether this transaction only reads.
-    pub fn is_read_only(&self) -> bool {
-        matches!(
-            self,
-            B2wTxn::GetCart(_)
-                | B2wTxn::GetStock(_)
-                | B2wTxn::GetStockQuantity(_)
-                | B2wTxn::GetStockTransaction(_)
-                | B2wTxn::GetCheckout(_)
-        )
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1069,12 +1055,11 @@ mod tests {
             cart_id: "c".into(),
         });
         assert_eq!(txn.name(), "GetCart");
-        assert!(txn.is_read_only());
         assert_eq!(txn.routing_key(), KeyValue::Str("c".into()));
         let w = B2wTxn::ReserveStock(ReserveStock {
             sku: "s".into(),
             quantity: 1,
         });
-        assert!(!w.is_read_only());
+        assert_eq!(w.name(), "ReserveStock");
     }
 }

@@ -174,11 +174,6 @@ impl PartitionStore {
         entry
     }
 
-    /// Records a logical access (for the §8.1 skew statistics).
-    pub fn record_access(&mut self) {
-        self.accesses += 1;
-    }
-
     /// Records an access attributed to a specific slot (hot-spot
     /// detection).
     #[allow(clippy::cast_possible_truncation)] // slot ids fit usize on supported targets
@@ -423,14 +418,6 @@ mod tests {
         assert!(b > 0);
         p.delete(0, 0, &k);
         assert_eq!(p.total_bytes(), 0);
-    }
-
-    #[test]
-    fn access_counter() {
-        let mut p = PartitionStore::new(1);
-        p.record_access();
-        p.record_access();
-        assert_eq!(p.accesses(), 2);
     }
 
     #[test]

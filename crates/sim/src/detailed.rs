@@ -105,17 +105,17 @@ pub struct DetailedSimConfig {
     /// Emit the provisioning-observatory event family (`prov_run`,
     /// `prov_interval`, `prov_forecast`, `prov_decision`, `prov_reconfig`,
     /// `prov_chunk`) for this run. Off by default — like `txn_sample_every`,
-    /// the gate keeps the default-config trace goldens byte-identical; see
-    /// [`prov_events_from_env`].
+    /// the gate keeps the default-config trace goldens byte-identical.
+    /// [`DetailedSimConfig::paper_defaults`] turns it on when the
+    /// `PSTORE_PROV_EVENTS` environment variable is `1`, `true` or `on`.
     pub prov_events: bool,
 }
 
 /// Provisioning-observatory switch from the `PSTORE_PROV_EVENTS`
-/// environment variable (default off). Used by
-/// [`DetailedSimConfig::paper_defaults`] and
-/// [`FastSimConfig::paper_defaults`](crate::FastSimConfig) so the `prov_*`
-/// event family can be enabled without code changes.
-pub fn prov_events_from_env() -> bool {
+/// environment variable (default off), read by
+/// [`DetailedSimConfig::paper_defaults`] so the `prov_*` event family can
+/// be enabled for detailed-sim runs without code changes.
+fn prov_events_from_env() -> bool {
     std::env::var("PSTORE_PROV_EVENTS").is_ok_and(|v| matches!(v.as_str(), "1" | "true" | "on"))
 }
 

@@ -12,8 +12,16 @@
 //! ```
 //! use pstore_sim::fast::{run_fast, FastSimConfig};
 //! use pstore_core::controller::baselines::StaticController;
+//! use pstore_core::params::SystemParams;
 //!
-//! let cfg = FastSimConfig::paper_defaults();
+//! // The paper's §8.3 setting: 1-minute slots, 5-minute decisions.
+//! let cfg = FastSimConfig {
+//!     params: SystemParams::b2w_paper(),
+//!     slot_duration_s: 60.0,
+//!     tick_every_slots: 5,
+//!     record_timeline: true,
+//!     prov_events: false,
+//! };
 //! let load = vec![800.0; 1440]; // one flat day
 //! let r = run_fast(&cfg, &load, &mut StaticController::new(4));
 //! assert_eq!(r.avg_machines(), 4.0);
@@ -43,23 +51,10 @@ pub struct FastSimConfig {
     pub record_timeline: bool,
     /// Emit the provisioning-observatory event family (`prov_run`,
     /// `prov_interval`, `prov_decision` via the controllers,
-    /// `prov_reconfig`). Off by default so default-config traces stay
-    /// byte-identical; see
-    /// [`prov_events_from_env`](crate::detailed::prov_events_from_env).
+    /// `prov_reconfig`). Every caller sets it explicitly; none reads
+    /// `PSTORE_PROV_EVENTS`, so fast-sim traces carry `prov_*` events
+    /// only when the code asks for them.
     pub prov_events: bool,
-}
-
-impl FastSimConfig {
-    /// The paper's §8.3 setting: 1-minute slots, 5-minute decisions.
-    pub fn paper_defaults() -> Self {
-        FastSimConfig {
-            params: SystemParams::b2w_paper(),
-            slot_duration_s: 60.0,
-            tick_every_slots: 5,
-            record_timeline: true,
-            prov_events: crate::detailed::prov_events_from_env(),
-        }
-    }
 }
 
 /// Result of a fast simulation.

@@ -9,12 +9,12 @@
 // Latency accounting buckets continuous completion times into whole
 // seconds and sample indices.
 #![allow(clippy::cast_possible_truncation, clippy::cast_sign_loss)]
+/// The paper's SLA threshold: 500 ms. One constant serves the simulator
+/// and the trace analyzers.
+pub use pstore_telemetry::slo::SLA_THRESHOLD_S;
 use pstore_telemetry::Histogram;
 use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
-
-/// The paper's SLA threshold: 500 ms.
-pub const SLA_THRESHOLD_S: f64 = 0.5;
 
 /// Sliding-window width (seconds) for the windowed percentile series:
 /// per-second log-bucketed histograms are retained for this many seconds

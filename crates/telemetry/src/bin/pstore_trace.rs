@@ -142,24 +142,93 @@ fn parse_path_and_flags<'a>(
     Ok((path, flags))
 }
 
-fn cmd_report(args: &[String]) -> ExitCode {
-    let (path, _) = match parse_path_and_flags(args, &[]) {
-        Ok(parsed) => parsed,
-        Err(e) => {
-            eprintln!("pstore-trace report: {e}\n{USAGE}");
-            return ExitCode::from(2);
+/// A subcommand's parsed arguments and the trace they name.
+struct Opened<'a> {
+    /// The subcommand's name, for messages.
+    cmd: &'static str,
+    path: PathBuf,
+    flags: Vec<Flag<'a>>,
+    /// The `--width` value, or the timeline default.
+    width: usize,
+    events: Vec<Event>,
+    line_errors: Vec<LineError>,
+}
+
+impl Opened<'_> {
+    fn has(&self, flag: &str) -> bool {
+        self.flags.iter().any(|(f, _)| *f == flag)
+    }
+
+    /// Exit code of an analysis subcommand: 1 when the trace had
+    /// unparseable lines.
+    fn exit_code(&self) -> ExitCode {
+        if self.line_errors.is_empty() {
+            ExitCode::SUCCESS
+        } else {
+            ExitCode::from(1)
         }
+    }
+
+    /// Writes `metrics` as a run-summary document to the `--summary`
+    /// path, if one was given. `Err` carries exit code 2 on a write
+    /// failure.
+    fn write_summary(&self, metrics: Vec<(String, f64)>) -> Result<(), ExitCode> {
+        let cmd = self.cmd;
+        let Some((_, Some(out))) = self.flags.iter().find(|(f, _)| *f == "--summary") else {
+            return Ok(());
+        };
+        let summary = RunSummary {
+            metrics: metrics.into_iter().collect(),
+        };
+        if let Err(e) = std::fs::write(out, summary.to_json()) {
+            eprintln!("pstore-trace {cmd}: cannot write {out}: {e}");
+            return Err(ExitCode::from(2));
+        }
+        println!("{cmd} summary written to {out}");
+        Ok(())
+    }
+}
+
+/// Parses `<path> [flags...]` for subcommand `cmd`, validating the flags
+/// against `allowed` and the `--width` value, then reads the trace.
+/// `Err` carries the exit code (2 on usage or I/O errors).
+fn open<'a>(
+    cmd: &'static str,
+    args: &'a [String],
+    allowed: &[&str],
+) -> Result<Opened<'a>, ExitCode> {
+    let (path, flags) = parse_path_and_flags(args, allowed).map_err(|e| {
+        eprintln!("pstore-trace {cmd}: {e}\n{USAGE}");
+        ExitCode::from(2)
+    })?;
+    let width = match flags.iter().find(|(f, _)| *f == "--width") {
+        Some((_, Some(value))) => value.parse::<usize>().map_err(|_| {
+            eprintln!("pstore-trace {cmd}: --width wants an integer, got \"{value}\"");
+            ExitCode::from(2)
+        })?,
+        _ => timeline::DEFAULT_WIDTH,
     };
-    let (events, line_errors) = match load_trace(&path) {
-        Ok(read) => read,
+    let (events, line_errors) = load_trace(&path)?;
+    Ok(Opened {
+        cmd,
+        path,
+        flags,
+        width,
+        events,
+        line_errors,
+    })
+}
+
+fn cmd_report(args: &[String]) -> ExitCode {
+    let trace = match open("report", args, &[]) {
+        Ok(trace) => trace,
         Err(code) => return code,
     };
-
-    let report = RunReport::from_events(&events);
+    let report = RunReport::from_events(&trace.events);
     print!("{}", report.render());
 
-    let ordering = order_errors(&events);
-    let mut failed = !line_errors.is_empty();
+    let ordering = order_errors(&trace.events);
+    let mut failed = !trace.line_errors.is_empty();
     if !report.span_errors.is_empty() {
         failed = true;
         eprintln!(
@@ -182,192 +251,85 @@ fn cmd_report(args: &[String]) -> ExitCode {
 }
 
 fn cmd_profile(args: &[String]) -> ExitCode {
-    let (path, flags) = match parse_path_and_flags(args, &["--wall", "--folded"]) {
-        Ok(parsed) => parsed,
-        Err(e) => {
-            eprintln!("pstore-trace profile: {e}\n{USAGE}");
-            return ExitCode::from(2);
-        }
+    let trace = match open("profile", args, &["--wall", "--folded"]) {
+        Ok(trace) => trace,
+        Err(code) => return code,
     };
-    let clock = if flags.iter().any(|(f, _)| *f == "--wall") {
+    let clock = if trace.has("--wall") {
         ProfileClock::Wall
     } else {
         ProfileClock::Sim
     };
-    let folded = flags.iter().any(|(f, _)| *f == "--folded");
-    let (events, line_errors) = match load_trace(&path) {
-        Ok(read) => read,
-        Err(code) => return code,
-    };
-    let prof = Profile::from_events(&events, clock);
-    if folded {
+    let prof = Profile::from_events(&trace.events, clock);
+    if trace.has("--folded") {
         print!("{}", prof.folded());
     } else {
         print!("{}", prof.render(clock));
     }
-    if line_errors.is_empty() {
-        ExitCode::SUCCESS
-    } else {
-        ExitCode::from(1)
-    }
+    trace.exit_code()
 }
 
 fn cmd_timeline(args: &[String]) -> ExitCode {
-    let (path, flags) = match parse_path_and_flags(args, &["--width"]) {
-        Ok(parsed) => parsed,
-        Err(e) => {
-            eprintln!("pstore-trace timeline: {e}\n{USAGE}");
-            return ExitCode::from(2);
-        }
-    };
-    let mut width = timeline::DEFAULT_WIDTH;
-    if let Some((_, Some(value))) = flags.iter().find(|(f, _)| *f == "--width") {
-        match value.parse::<usize>() {
-            Ok(w) => width = w,
-            Err(_) => {
-                eprintln!("pstore-trace timeline: --width wants an integer, got \"{value}\"");
-                return ExitCode::from(2);
-            }
-        }
-    }
-    let (events, line_errors) = match load_trace(&path) {
-        Ok(read) => read,
+    let trace = match open("timeline", args, &["--width"]) {
+        Ok(trace) => trace,
         Err(code) => return code,
     };
     // Traces carrying prov_* events get the decision overlay for free;
-    // for everything else decision_times is empty and the output is
-    // byte-identical to the plain renderer.
-    let decisions = prov::decision_times(&prov::analyze(&events));
+    // for everything else decision_times is empty and no plan row is drawn.
+    let decisions = prov::decision_times(&prov::analyze(&trace.events));
     print!(
         "{}",
-        timeline::render_with_decisions(&events, width, &[], &decisions)
+        timeline::render(&trace.events, trace.width, &[], &decisions)
     );
-    if line_errors.is_empty() {
-        ExitCode::SUCCESS
-    } else {
-        ExitCode::from(1)
-    }
+    trace.exit_code()
 }
 
 fn cmd_slo(args: &[String]) -> ExitCode {
-    let (path, flags) = match parse_path_and_flags(args, &["--width", "--summary"]) {
-        Ok(parsed) => parsed,
-        Err(e) => {
-            eprintln!("pstore-trace slo: {e}\n{USAGE}");
-            return ExitCode::from(2);
-        }
-    };
-    let mut width = timeline::DEFAULT_WIDTH;
-    if let Some((_, Some(value))) = flags.iter().find(|(f, _)| *f == "--width") {
-        match value.parse::<usize>() {
-            Ok(w) => width = w,
-            Err(_) => {
-                eprintln!("pstore-trace slo: --width wants an integer, got \"{value}\"");
-                return ExitCode::from(2);
-            }
-        }
-    }
-    let summary_out = flags
-        .iter()
-        .find(|(f, _)| *f == "--summary")
-        .and_then(|(_, v)| *v)
-        .map(PathBuf::from);
-    let (events, line_errors) = match load_trace(&path) {
-        Ok(read) => read,
+    let trace = match open("slo", args, &["--width", "--summary"]) {
+        Ok(trace) => trace,
         Err(code) => return code,
     };
-    let runs = slo::analyze(&events);
+    let runs = slo::analyze(&trace.events);
     print!("{}", slo::render(&runs));
     println!();
+    let violations = slo::violation_times(&runs);
     print!(
         "{}",
-        timeline::render_with_violations(&events, width, &slo::violation_times(&runs))
+        timeline::render(&trace.events, trace.width, &violations, &[])
     );
-    if let Some(out) = summary_out {
-        let mut summary = RunSummary::default();
-        for (name, value) in slo::metrics(&runs) {
-            summary.metrics.insert(name, value);
-        }
-        if let Err(e) = std::fs::write(&out, summary.to_json()) {
-            eprintln!("pstore-trace slo: cannot write {}: {e}", out.display());
-            return ExitCode::from(2);
-        }
-        println!("slo summary written to {}", out.display());
+    if let Err(code) = trace.write_summary(slo::metrics(&runs)) {
+        return code;
     }
-    if line_errors.is_empty() {
-        ExitCode::SUCCESS
-    } else {
-        ExitCode::from(1)
-    }
+    trace.exit_code()
 }
 
 fn cmd_provisioning(args: &[String]) -> ExitCode {
-    let (path, flags) = match parse_path_and_flags(args, &["--width", "--summary"]) {
-        Ok(parsed) => parsed,
-        Err(e) => {
-            eprintln!("pstore-trace provisioning: {e}\n{USAGE}");
-            return ExitCode::from(2);
-        }
-    };
-    let mut width = timeline::DEFAULT_WIDTH;
-    if let Some((_, Some(value))) = flags.iter().find(|(f, _)| *f == "--width") {
-        match value.parse::<usize>() {
-            Ok(w) => width = w,
-            Err(_) => {
-                eprintln!("pstore-trace provisioning: --width wants an integer, got \"{value}\"");
-                return ExitCode::from(2);
-            }
-        }
-    }
-    let summary_out = flags
-        .iter()
-        .find(|(f, _)| *f == "--summary")
-        .and_then(|(_, v)| *v)
-        .map(PathBuf::from);
-    let (events, line_errors) = match load_trace(&path) {
-        Ok(read) => read,
+    let trace = match open("provisioning", args, &["--width", "--summary"]) {
+        Ok(trace) => trace,
         Err(code) => return code,
     };
-    let runs = prov::analyze(&events);
+    let runs = prov::analyze(&trace.events);
     if runs.is_empty() {
         eprintln!(
             "pstore-trace provisioning: no prov_* events in {} \
              (provisioning telemetry is emission-gated; run with prov \
              events enabled)",
-            path.display()
+            trace.path.display()
         );
         return ExitCode::from(1);
     }
     print!("{}", prov::render(&runs));
     println!();
+    let violations = slo::violation_times(&slo::analyze(&trace.events));
+    let decisions = prov::decision_times(&runs);
     print!(
         "{}",
-        timeline::render_with_decisions(
-            &events,
-            width,
-            &slo::violation_times(&slo::analyze(&events)),
-            &prov::decision_times(&runs),
-        )
+        timeline::render(&trace.events, trace.width, &violations, &decisions)
     );
-    if let Some(out) = summary_out {
-        let mut summary = RunSummary::default();
-        for (name, value) in prov::metrics(&runs) {
-            summary.metrics.insert(name, value);
-        }
-        if let Err(e) = std::fs::write(&out, summary.to_json()) {
-            eprintln!(
-                "pstore-trace provisioning: cannot write {}: {e}",
-                out.display()
-            );
-            return ExitCode::from(2);
-        }
-        println!("provisioning summary written to {}", out.display());
+    if let Err(code) = trace.write_summary(prov::metrics(&runs)) {
+        return code;
     }
-    if line_errors.is_empty() {
-        ExitCode::SUCCESS
-    } else {
-        ExitCode::from(1)
-    }
+    trace.exit_code()
 }
 
 fn cmd_diff(args: &[String]) -> ExitCode {

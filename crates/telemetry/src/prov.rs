@@ -10,8 +10,8 @@
 //! observation it targeted, `prov_decision` records why the controller
 //! asked for a new machine count, and `prov_reconfig`/`prov_chunk` carry
 //! the migration cost of acting on it. This module reads a trace back,
-//! segments it into simulator runs (like [`slo`](crate::slo)), and
-//! produces three artifacts per run:
+//! splits it into simulator runs with [`trace::runs`], and produces
+//! three artifacts per run:
 //!
 //! 1. a **capacity ledger**: machine-seconds provisioned vs the ideal
 //!    demand curve `ceil(observed / Q)`, split into over- and
@@ -28,8 +28,9 @@
 //! and the decision/forecast joins from the raw events and require them
 //! to reconcile with this module's output.
 
-use crate::event::{kinds, span_names, Event};
+use crate::event::{kinds, Event};
 use crate::slo::SLA_THRESHOLD_S;
+use crate::trace;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
@@ -438,53 +439,23 @@ fn is_prov_kind(kind: &str) -> bool {
     )
 }
 
-/// Segments a trace into simulator runs and analyzes each — the same
-/// segmentation as [`slo::analyze`](crate::slo::analyze): a run is
-/// everything between a top-level `detailed_sim`/`fast_sim` span pair;
-/// traces without simulator spans yield one implicit `{i}:trace` run
-/// when they contain any `prov_*` events.
+/// Analyzes each simulator run of a trace (see [`trace::runs`]). A trace
+/// without simulator spans forms one implicit run from its first
+/// `prov_*` event. Runs are numbered before the ones that carry no
+/// `prov_*` events at all (prov disabled) are dropped: those would only
+/// add all-zero metric rows.
 pub fn analyze(events: &[Event]) -> Vec<RunProv> {
-    let mut runs: Vec<RunProv> = Vec::new();
-    let mut current: Option<(RunBuilder, usize)> = None; // builder + base depth
-    let mut depth: usize = 0;
-    for ev in events {
-        let begins = ev.kind == kinds::SPAN_BEGIN;
-        let ends = ev.kind == kinds::SPAN_END;
-        let name = ev.field_str("name").unwrap_or("");
-        let is_sim = name == span_names::DETAILED_SIM || name == span_names::FAST_SIM;
-        if begins && is_sim && current.as_ref().is_none_or(|&(_, base)| depth == base) {
-            if let Some((b, _)) = current.take() {
-                runs.push(b.finish());
+    trace::runs(events, |ev| is_prov_kind(&ev.kind))
+        .into_iter()
+        .map(|(label, run)| {
+            let mut b = RunBuilder::new(label);
+            for ev in run {
+                b.observe(ev);
             }
-            current = Some((RunBuilder::new(format!("{}:{name}", runs.len())), depth + 1));
-        }
-        if begins {
-            depth += 1;
-        }
-        if let Some((b, _)) = current.as_mut() {
-            b.observe(ev);
-        } else if is_prov_kind(&ev.kind) {
-            let mut b = RunBuilder::new(format!("{}:trace", runs.len()));
-            b.observe(ev);
-            current = Some((b, 0));
-        }
-        if ends {
-            depth = depth.saturating_sub(1);
-            let closes_run = matches!(&current, Some((_, base)) if is_sim && depth + 1 == *base);
-            if closes_run {
-                if let Some((b, _)) = current.take() {
-                    runs.push(b.finish());
-                }
-            }
-        }
-    }
-    if let Some((b, _)) = current.take() {
-        runs.push(b.finish());
-    }
-    // Drop sim runs that carried no prov events at all (prov disabled):
-    // they would only add all-zero metric rows.
-    runs.retain(|r| r.intervals > 0 || !r.decisions.is_empty() || !r.scores.is_empty());
-    runs
+            b.finish()
+        })
+        .filter(|r| r.intervals > 0 || !r.decisions.is_empty() || !r.scores.is_empty())
+        .collect()
 }
 
 /// Flattens the analysis into `pstore-run-summary/v1` metrics:
@@ -677,6 +648,7 @@ fn sla_effect(r: &RunProv, d: &ProvDecision) -> String {
 mod tests {
     #![allow(clippy::float_cmp)] // tests assert exact arithmetic
     use super::*;
+    use crate::event::span_names;
 
     fn seq(events: &mut [Event]) {
         for (i, ev) in events.iter_mut().enumerate() {

@@ -5,42 +5,27 @@
 //! per-second sums on `second` events (`attr_queue`/`attr_exec`/
 //! `attr_stall`/`attr_total`; the TEL-06 identity is
 //! `queue + exec + stall == total`). This module reads a trace back,
-//! segments it into simulator runs (top-level `detailed_sim`/`fast_sim`
-//! spans — a merged fig9-style trace holds one run per approach), finds
+//! splits it into simulator runs with [`trace::runs`], finds
 //! SLA-violation windows (maximal stretches of seconds whose p99 exceeds
 //! the 500 ms SLA, tolerating 1-second gaps), and correlates each window
-//! with the reconfiguration spans and chunk moves active at the time.
+//! with the reconfiguration windows ([`trace::reconfig_windows`]) and
+//! chunk moves active at the time.
 //! That turns the paper's headline claim — reactive provisioning blows
 //! the SLA *because of* migration interference, predictive holds it —
 //! into a measured, regression-gated artifact (`slo.*` summary metrics).
 
-use crate::event::{kinds, span_names, Event};
+use crate::event::{kinds, Event};
+use crate::trace::{self, ReconfigWindow};
 use std::fmt::Write as _;
 
-/// The SLA threshold in seconds (the paper's 500 ms; mirrors
-/// `pstore_sim::latency::SLA_THRESHOLD_S`).
+/// The SLA threshold in seconds: the paper's 500 ms. The simulator
+/// re-exports it as `pstore_sim::latency::SLA_THRESHOLD_S`.
 pub const SLA_THRESHOLD_S: f64 = 0.5;
 
 /// Attribution lead, in seconds: migration activity ending at most this
 /// long before a violation window still counts as overlapping it — the
 /// queues a chunk burst builds keep violating after the last chunk lands.
 pub const MIGRATION_LEAD_S: f64 = 5.0;
-
-/// A reconfiguration span reconstructed inside one run.
-#[derive(Debug, Clone)]
-pub struct ReconfigSpan {
-    /// Start time (sim seconds).
-    pub start: f64,
-    /// End time; for a span still open at end of run, the run's last
-    /// timestamp.
-    pub end: f64,
-    /// Machine count before, if recorded.
-    pub from: Option<u64>,
-    /// Machine count after, if recorded.
-    pub to: Option<u64>,
-    /// Chunk moves observed while the span was open.
-    pub chunk_moves: u64,
-}
 
 /// One SLA-violation window: a maximal run of violating seconds
 /// (`p99 > SLA_THRESHOLD_S`), tolerating single-second gaps.
@@ -96,8 +81,8 @@ pub struct RunSlo {
     pub violation_seconds: u64,
     /// Violation windows, in time order.
     pub windows: Vec<SlaWindow>,
-    /// Reconfiguration spans of this run, in start order.
-    pub reconfigs: Vec<ReconfigSpan>,
+    /// Reconfiguration windows of this run, in start order.
+    pub reconfigs: Vec<ReconfigWindow>,
     /// Trace timestamps of the violating `second` events (for overlays).
     pub violation_times: Vec<f64>,
 }
@@ -113,26 +98,11 @@ struct RunBuilder {
     total_s: f64,
     /// `(second, p99, attr_stall, t)` of violating seconds, in order.
     violations: Vec<(u64, f64, f64, f64)>,
-    reconfigs: Vec<ReconfigSpan>,
-    /// id -> index into `reconfigs` for spans still open.
-    open_reconfigs: Vec<(u64, usize)>,
     chunk_moves: Vec<f64>,
-    t_max: f64,
 }
 
 impl RunBuilder {
-    fn new(label: String) -> Self {
-        RunBuilder {
-            label,
-            t_max: f64::NEG_INFINITY,
-            ..RunBuilder::default()
-        }
-    }
-
     fn observe(&mut self, ev: &Event) {
-        if let Some(t) = ev.t {
-            self.t_max = self.t_max.max(t);
-        }
         match ev.kind.as_str() {
             kinds::SECOND => {
                 self.seconds += 1;
@@ -152,42 +122,13 @@ impl RunBuilder {
             kinds::CHUNK_MOVE => {
                 if let Some(t) = ev.t {
                     self.chunk_moves.push(t);
-                    for &(_, idx) in &self.open_reconfigs {
-                        self.reconfigs[idx].chunk_moves += 1;
-                    }
-                }
-            }
-            kinds::SPAN_BEGIN if ev.field_str("name") == Some(kinds::SPAN_RECONFIG) => {
-                if let (Some(id), Some(t)) = (ev.field_u64("id"), ev.t) {
-                    self.reconfigs.push(ReconfigSpan {
-                        start: t,
-                        end: t,
-                        from: ev.field_u64("from"),
-                        to: ev.field_u64("to"),
-                        chunk_moves: 0,
-                    });
-                    self.open_reconfigs.push((id, self.reconfigs.len() - 1));
-                }
-            }
-            kinds::SPAN_END if ev.field_str("name") == Some(kinds::SPAN_RECONFIG) => {
-                if let Some(id) = ev.field_u64("id") {
-                    if let Some(pos) = self.open_reconfigs.iter().position(|&(i, _)| i == id) {
-                        let (_, idx) = self.open_reconfigs.remove(pos);
-                        self.reconfigs[idx].end = ev.t.unwrap_or(self.reconfigs[idx].start);
-                    }
                 }
             }
             _ => {}
         }
     }
 
-    fn finish(mut self) -> RunSlo {
-        // Spans still open at end of run extend to the last timestamp.
-        for (_, idx) in self.open_reconfigs.drain(..) {
-            if self.t_max.is_finite() {
-                self.reconfigs[idx].end = self.t_max.max(self.reconfigs[idx].start);
-            }
-        }
+    fn finish(self, reconfigs: Vec<ReconfigWindow>) -> RunSlo {
         // Merge violating seconds into windows, tolerating 1-second gaps.
         let mut windows: Vec<SlaWindow> = Vec::new();
         for &(second, p99, stall, _) in &self.violations {
@@ -221,10 +162,7 @@ impl RunBuilder {
                     .count(),
             )
             .unwrap_or(u64::MAX);
-            w.reconfig = self
-                .reconfigs
-                .iter()
-                .position(|r| r.start <= hi && r.end >= lo);
+            w.reconfig = reconfigs.iter().position(|r| r.start <= hi && r.end >= lo);
         }
         RunSlo {
             label: self.label,
@@ -235,60 +173,29 @@ impl RunBuilder {
             total_s: self.total_s,
             violation_seconds: u64::try_from(self.violations.len()).unwrap_or(u64::MAX),
             windows,
-            reconfigs: self.reconfigs,
+            reconfigs,
             violation_times: self.violations.iter().map(|&(_, _, _, t)| t).collect(),
         }
     }
 }
 
-/// Segments a trace into simulator runs and analyzes each.
-///
-/// A run is everything between a top-level (span depth 0)
-/// `detailed_sim`/`fast_sim` `span_begin` and its matching end. Traces
-/// without simulator spans yield a single implicit run labelled
-/// `0:trace` when they contain any `second` events.
+/// Analyzes each simulator run of a trace (see [`trace::runs`]). A trace
+/// without simulator spans forms one implicit run from its first
+/// `second` event.
 pub fn analyze(events: &[Event]) -> Vec<RunSlo> {
-    let mut runs: Vec<RunSlo> = Vec::new();
-    let mut current: Option<(RunBuilder, usize)> = None; // builder + its base depth
-    let mut depth: usize = 0;
-    for ev in events {
-        let begins = ev.kind == kinds::SPAN_BEGIN;
-        let ends = ev.kind == kinds::SPAN_END;
-        let name = ev.field_str("name").unwrap_or("");
-        let is_sim = name == span_names::DETAILED_SIM || name == span_names::FAST_SIM;
-        if begins && is_sim && current.as_ref().is_none_or(|&(_, base)| depth == base) {
-            // A sim span at the segmentation depth starts a new run (and
-            // closes any implicit run that was accumulating).
-            if let Some((b, _)) = current.take() {
-                runs.push(b.finish());
+    trace::runs(events, |ev| ev.kind == kinds::SECOND)
+        .into_iter()
+        .map(|(label, run)| {
+            let mut b = RunBuilder {
+                label,
+                ..RunBuilder::default()
+            };
+            for ev in run {
+                b.observe(ev);
             }
-            current = Some((RunBuilder::new(format!("{}:{name}", runs.len())), depth + 1));
-        }
-        if begins {
-            depth += 1;
-        }
-        if let Some((b, _)) = current.as_mut() {
-            b.observe(ev);
-        } else if ev.kind == kinds::SECOND {
-            // Trace without simulator spans: accumulate an implicit run.
-            let mut b = RunBuilder::new(format!("{}:trace", runs.len()));
-            b.observe(ev);
-            current = Some((b, 0));
-        }
-        if ends {
-            depth = depth.saturating_sub(1);
-            let closes_run = matches!(&current, Some((_, base)) if is_sim && depth + 1 == *base);
-            if closes_run {
-                if let Some((b, _)) = current.take() {
-                    runs.push(b.finish());
-                }
-            }
-        }
-    }
-    if let Some((b, _)) = current.take() {
-        runs.push(b.finish());
-    }
-    runs
+            b.finish(trace::reconfig_windows(run))
+        })
+        .collect()
 }
 
 /// Flattens the analysis into `pstore-run-summary/v1` metrics:
@@ -420,6 +327,7 @@ pub fn render(runs: &[RunSlo]) -> String {
 mod tests {
     #![allow(clippy::float_cmp)] // tests assert exact arithmetic
     use super::*;
+    use crate::event::span_names;
 
     fn seq(events: &mut [Event]) {
         for (i, ev) in events.iter_mut().enumerate() {

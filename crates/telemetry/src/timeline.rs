@@ -9,45 +9,29 @@
 //!   covers it (scale-out adds it / scale-in drains it)
 //! - `M` — at least one chunk moved from or to the node in the bucket
 //!
-//! Built from `second` events (activity), `reconfig` span pairs
-//! (windows, with `from`/`to` machine counts), and `chunk_move` events
+//! Built from `second` events (activity), [`reconfig_windows`]
+//! (with `from`/`to` machine counts), and `chunk_move` events
 //! (endpoints are 0-based node ids). Output is deterministic for a
 //! fixed-seed trace: it depends only on event payloads, never on wall
 //! time.
 
 use crate::event::{kinds, Event};
-use std::collections::BTreeMap;
+use crate::trace::{reconfig_windows, ReconfigWindow};
 use std::fmt::Write as _;
 
 /// Default number of time-bucket columns.
 pub const DEFAULT_WIDTH: usize = 96;
 
-struct ReconfigWindow {
-    t_begin: f64,
-    t_end: f64,
-    from: u64,
-    to: u64,
-    finished: bool,
-}
-
 /// Renders the timeline for a trace; `width` is the column count
 /// (clamped to `[16, 512]`).
-pub fn render(events: &[Event], width: usize) -> String {
-    render_with_violations(events, width, &[])
-}
-
-/// Renders the timeline with an SLA-violation overlay: `violations` are
-/// the timestamps of violating seconds (see
+///
+/// `violations` are the timestamps of violating seconds (see
 /// [`crate::slo::violation_times`]); each lands a `!` in a dedicated
 /// `sla` row aligned under the node rows, so a violation column can be
 /// read straight up against the machine activity, reconfiguration
 /// shading, and chunk moves above it.
-pub fn render_with_violations(events: &[Event], width: usize, violations: &[f64]) -> String {
-    render_full(events, width, violations, &[])
-}
-
-/// Renders the timeline with both the SLA overlay and a provisioning
-/// decision overlay: `decisions` are `(t, lead_s)` pairs (see
+///
+/// `decisions` are `(t, lead_s)` pairs (see
 /// [`crate::prov::decision_times`]). Each decision lands in a dedicated
 /// `plan` row aligned under the node rows — a predictive decision
 /// (`lead_s > 0`) prints `P` at the decision time with a `>` arrow
@@ -56,16 +40,9 @@ pub fn render_with_violations(events: &[Event], width: usize, violations: &[f64]
 /// moment it fired. Reading a `P`'s arrow against the `=` reconfiguration
 /// shading above shows whether capacity arrived before the demand it was
 /// bought for.
-pub fn render_with_decisions(
-    events: &[Event],
-    width: usize,
-    violations: &[f64],
-    decisions: &[(f64, f64)],
-) -> String {
-    render_full(events, width, violations, decisions)
-}
-
-fn render_full(
+///
+/// Either overlay row is omitted when its slice is empty.
+pub fn render(
     events: &[Event],
     width: usize,
     violations: &[f64],
@@ -74,8 +51,6 @@ fn render_full(
     let width = width.clamp(16, 512);
     let mut seconds: Vec<(f64, u64)> = Vec::new();
     let mut moves: Vec<(f64, u64, u64)> = Vec::new();
-    let mut open: BTreeMap<u64, ReconfigWindow> = BTreeMap::new();
-    let mut windows: Vec<ReconfigWindow> = Vec::new();
     let mut t_max = f64::NEG_INFINITY;
     let mut t_min = f64::INFINITY;
 
@@ -94,40 +69,12 @@ fn render_full(
                     moves.push((t, from, to));
                 }
             }
-            kinds::SPAN_BEGIN if ev.field_str("name") == Some(kinds::SPAN_RECONFIG) => {
-                if let (Some(id), Some(from), Some(to)) =
-                    (ev.field_u64("id"), ev.field_u64("from"), ev.field_u64("to"))
-                {
-                    open.insert(
-                        id,
-                        ReconfigWindow {
-                            t_begin: t,
-                            t_end: t,
-                            from,
-                            to,
-                            finished: false,
-                        },
-                    );
-                }
-            }
-            kinds::SPAN_END if ev.field_str("name") == Some(kinds::SPAN_RECONFIG) => {
-                if let Some(id) = ev.field_u64("id") {
-                    if let Some(mut w) = open.remove(&id) {
-                        w.t_end = t;
-                        w.finished = true;
-                        windows.push(w);
-                    }
-                }
-            }
             _ => {}
         }
     }
-    // Unclosed reconfigurations run to the end of the trace.
-    for (_, mut w) in open {
-        w.t_end = t_max;
-        windows.push(w);
-    }
-    windows.sort_by(|a, b| a.t_begin.total_cmp(&b.t_begin));
+    // Merged sweep traces restart the clock per run: order by start time.
+    let mut windows = reconfig_windows(events);
+    windows.sort_by(|a, b| a.start.total_cmp(&b.start));
 
     if !t_min.is_finite() || t_max <= t_min {
         return "== timeline ==\n  (no timestamped events in trace)\n".to_string();
@@ -158,9 +105,11 @@ fn render_full(
     }
     // Reconfiguration windows shade the machine range they change.
     for w in &windows {
-        let lo = w.from.min(w.to);
-        let hi = w.from.max(w.to);
-        for col in bucket(w.t_begin)..=bucket(w.t_end) {
+        let (Some(from), Some(to)) = (w.from, w.to) else {
+            continue;
+        };
+        let (lo, hi) = (from.min(to), from.max(to));
+        for col in bucket(w.start)..=bucket(w.end) {
             for (node, row) in grid.iter_mut().enumerate() {
                 let node = u64::try_from(node).unwrap_or(u64::MAX);
                 if node >= lo && node < hi {
@@ -260,15 +209,14 @@ fn render_full(
     }
     let _ = writeln!(out, "  reconfigurations: {}", windows.len());
     for w in &windows {
-        let suffix = if w.finished { "" } else { "  (unfinished)" };
+        let suffix = if w.closed { "" } else { "  (unfinished)" };
+        let [from, to] = [w.from, w.to].map(|m| m.map_or("?".to_string(), |v| v.to_string()));
         let _ = writeln!(
             out,
-            "    {:>4} -> {:<4} @ {:.1}s .. {:.1}s ({:.1}s){suffix}",
-            w.from,
-            w.to,
-            w.t_begin,
-            w.t_end,
-            w.t_end - w.t_begin
+            "    {from:>4} -> {to:<4} @ {:.1}s .. {:.1}s ({:.1}s){suffix}",
+            w.start,
+            w.end,
+            w.end - w.start
         );
     }
     let _ = writeln!(out, "  chunk moves: {}", moves.len());
@@ -285,7 +233,7 @@ fn node_count(
         max = max.max(m);
     }
     for w in windows {
-        max = max.max(w.from).max(w.to);
+        max = max.max(w.from.unwrap_or(0)).max(w.to.unwrap_or(0));
     }
     for &(_, from, to) in moves {
         max = max.max(from + 1).max(to + 1);
@@ -334,7 +282,7 @@ mod tests {
 
     #[test]
     fn renders_rows_windows_and_moves() {
-        let out = render(&sample_trace(), 32);
+        let out = render(&sample_trace(), 32, &[], &[]);
         assert!(out.contains("node   0"));
         assert!(out.contains("node   2"));
         assert!(!out.contains("node   3"));
@@ -349,23 +297,23 @@ mod tests {
     #[test]
     fn deterministic_for_same_trace() {
         let trace = sample_trace();
-        assert_eq!(render(&trace, 48), render(&trace, 48));
+        assert_eq!(render(&trace, 48, &[], &[]), render(&trace, 48, &[], &[]));
     }
 
     #[test]
     fn unfinished_reconfig_is_flagged() {
         let mut trace = sample_trace();
         trace.retain(|e| e.kind != kinds::SPAN_END);
-        let out = render(&trace, 32);
+        let out = render(&trace, 32, &[], &[]);
         assert!(out.contains("(unfinished)"));
     }
 
     #[test]
     fn violation_overlay_adds_aligned_sla_row() {
         let trace = sample_trace();
-        let plain = render(&trace, 32);
+        let plain = render(&trace, 32, &[], &[]);
         assert!(!plain.contains("sla"));
-        let out = render_with_violations(&trace, 32, &[4.0, 5.0, 99.0]);
+        let out = render(&trace, 32, &[4.0, 5.0, 99.0], &[]);
         assert!(out.contains("'!' SLA violation"));
         // Out-of-range timestamps are dropped from the count.
         assert!(out.contains("sla-violation seconds: 2"));
@@ -388,12 +336,9 @@ mod tests {
     #[test]
     fn decision_overlay_draws_lead_arrows_and_reactive_marks() {
         let trace = sample_trace();
-        // No decisions: output byte-identical to the plain renderer.
-        assert_eq!(
-            render_with_decisions(&trace, 32, &[], &[]),
-            render(&trace, 32)
-        );
-        let out = render_with_decisions(&trace, 32, &[], &[(2.0, 5.0), (8.0, 0.0)]);
+        // No decisions: the plain render (one function serves both).
+        assert_eq!(render(&trace, 32, &[], &[]), render(&trace, 32, &[], &[]));
+        let out = render(&trace, 32, &[], &[(2.0, 5.0), (8.0, 0.0)]);
         assert!(out.contains("'P>' predictive decision+lead"));
         let plan_line = out
             .lines()
@@ -420,9 +365,9 @@ mod tests {
 
     #[test]
     fn empty_trace_degrades_gracefully() {
-        let out = render(&[], 32);
+        let out = render(&[], 32, &[], &[]);
         assert!(out.contains("no timestamped events"));
         let untimed = vec![Event::new(kinds::SECOND)];
-        assert!(render(&untimed, 32).contains("no timestamped events"));
+        assert!(render(&untimed, 32, &[], &[]).contains("no timestamped events"));
     }
 }

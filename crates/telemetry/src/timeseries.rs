@@ -24,7 +24,6 @@ pub struct TimeSeries {
     samples: Vec<(f64, f64)>,
     capacity: usize,
     next: usize,
-    pushed: u64,
 }
 
 impl TimeSeries {
@@ -34,7 +33,6 @@ impl TimeSeries {
             samples: Vec::new(),
             capacity: capacity.max(1),
             next: 0,
-            pushed: 0,
         }
     }
 
@@ -46,7 +44,6 @@ impl TimeSeries {
             self.samples[self.next] = (t, value);
         }
         self.next = (self.next + 1) % self.capacity;
-        self.pushed += 1;
     }
 
     /// Samples currently retained, oldest first.
@@ -91,11 +88,6 @@ impl TimeSeries {
     /// True when nothing has been pushed yet.
     pub fn is_empty(&self) -> bool {
         self.samples.is_empty()
-    }
-
-    /// Total samples ever pushed (including evicted ones).
-    pub fn total_pushed(&self) -> u64 {
-        self.pushed
     }
 }
 
@@ -370,7 +362,6 @@ mod tests {
             ts.push(f64::from(i), f64::from(i) * 10.0);
         }
         assert_eq!(ts.len(), 3);
-        assert_eq!(ts.total_pushed(), 5);
         let samples = ts.samples();
         assert_eq!(samples, vec![(2.0, 20.0), (3.0, 30.0), (4.0, 40.0)]);
         assert_eq!(ts.latest(), Some((4.0, 40.0)));

@@ -3,14 +3,17 @@
 //! A trace is a JSONL file (one [`Event`] per line) written by
 //! [`crate::JsonlSink`]. This module reads traces back, validates span
 //! pairing and nesting (the checks behind `pstore-verify`'s `TEL-01` and
-//! `TEL-02`), and renders the run report printed by the `pstore-trace`
-//! binary.
+//! `TEL-02`), splits a trace into simulator runs ([`runs`]) and
+//! reconfiguration windows ([`reconfig_windows`]) for the `slo`, `prov`
+//! and `timeline` analyzers, and renders the run report printed by the
+//! `pstore-trace` binary.
 
-use crate::event::{kinds, Event};
+use crate::event::{kinds, span_names, Event};
 use crate::json;
 use crate::metrics::Histogram;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
+use std::ops::Range;
 use std::path::Path;
 
 /// A line that failed to parse: line number (1-based) and message.
@@ -240,21 +243,151 @@ pub fn order_errors(events: &[Event]) -> Vec<OrderError> {
     errors
 }
 
-/// One completed reconfiguration reconstructed from a trace.
+/// Splits a trace into simulator runs, returning each run's label and
+/// its contiguous slice of events.
+///
+/// A `detailed_sim`/`fast_sim` `span_begin` seen while no run is open
+/// starts a run, at any span depth: a merged sweep trace that wraps each
+/// cell in an outer span still yields one run per cell. The run's slice
+/// runs through the matching `span_end`, both included; sim spans nested
+/// inside it belong to it. Runs are labelled `{index}:{span name}`.
+///
+/// Outside any run, the first event for which `starts_implicit_run`
+/// holds opens an implicit run labelled `{index}:trace` (a trace written
+/// without sim spans). It lasts until a top-level sim span begins, or to
+/// the end of the trace. Events outside every run are dropped.
+pub fn runs(
+    events: &[Event],
+    starts_implicit_run: impl Fn(&Event) -> bool,
+) -> Vec<(String, &[Event])> {
+    let mut runs: Vec<(String, &[Event])> = Vec::new();
+    // The open run: label, index of its first event, and the depth of its
+    // sim span (`None` for an implicit run).
+    let mut current: Option<(String, usize, Option<usize>)> = None;
+    let mut depth: usize = 0;
+    for (i, ev) in events.iter().enumerate() {
+        let name = ev.field_str("name").unwrap_or("");
+        let is_sim = name == span_names::DETAILED_SIM || name == span_names::FAST_SIM;
+        if ev.kind == kinds::SPAN_BEGIN {
+            let starts_run = match &current {
+                None => is_sim,
+                Some((_, _, None)) => is_sim && depth == 0,
+                Some(_) => false,
+            };
+            if starts_run {
+                if let Some((label, first, _)) = current.take() {
+                    runs.push((label, &events[first..i]));
+                }
+                current = Some((format!("{}:{name}", runs.len()), i, Some(depth)));
+            }
+            depth += 1;
+        }
+        if current.is_none() && starts_implicit_run(ev) {
+            current = Some((format!("{}:trace", runs.len()), i, None));
+        }
+        if ev.kind == kinds::SPAN_END {
+            depth = depth.saturating_sub(1);
+            if is_sim && current.as_ref().is_some_and(|c| c.2 == Some(depth)) {
+                if let Some((label, first, _)) = current.take() {
+                    runs.push((label, &events[first..=i]));
+                }
+            }
+        }
+    }
+    if let Some((label, first, _)) = current {
+        runs.push((label, &events[first..]));
+    }
+    runs
+}
+
+/// One reconfiguration: a `reconfig` span pair and the chunk moves seen
+/// while it was open.
 #[derive(Debug, Clone)]
-pub struct ReconfigSummary {
-    /// Start time (sim seconds), if the begin event carried a clock.
-    pub start: Option<f64>,
-    /// End time (sim seconds), if the end event carried a clock.
-    pub end: Option<f64>,
-    /// Machine count before.
+pub struct ReconfigWindow {
+    /// Sim time of the `span_begin`.
+    pub start: f64,
+    /// Sim time of the matching `span_end`; for an unclosed window, the
+    /// latest timestamp in the analysed events.
+    pub end: f64,
+    /// Whether a matching `span_end` was seen.
+    pub closed: bool,
+    /// Machine count before, if the begin recorded it.
     pub from: Option<u64>,
-    /// Machine count after.
+    /// Machine count after, if the begin recorded it.
     pub to: Option<u64>,
-    /// Chunk-move events observed while this span was open.
+    /// Chunk-move events seen while the window was open.
     pub chunk_moves: u64,
     /// Bytes moved across those chunk moves.
     pub bytes_moved: u64,
+    /// Indices into the analysed events from the `span_begin` up to (not
+    /// including) the matching `span_end`, or to the end when unclosed.
+    pub events: Range<usize>,
+}
+
+/// Pairs the `reconfig` spans in `events` into windows, in begin order,
+/// and counts each `chunk_move` toward every window open at that point
+/// in the trace.
+///
+/// Rules for malformed input:
+/// - A `reconfig` begin or end without `t` is ignored: it opens or
+///   closes nothing. Chunk moves are attributed by trace order, so they
+///   count with or without `t`.
+/// - A begin without `from`/`to` still opens a window; the missing
+///   counts stay `None`.
+/// - A begin that reuses the id of a window still open opens a second
+///   window; an end closes the most recently opened window with its id.
+/// - A window never closed ends at the latest timestamp in `events`,
+///   with `closed == false`.
+pub fn reconfig_windows(events: &[Event]) -> Vec<ReconfigWindow> {
+    let mut windows: Vec<ReconfigWindow> = Vec::new();
+    // (span id, index into `windows`) of the open windows, in open order.
+    let mut open: Vec<(u64, usize)> = Vec::new();
+    let mut t_max = f64::NEG_INFINITY;
+    for (i, ev) in events.iter().enumerate() {
+        if ev.kind == kinds::CHUNK_MOVE {
+            let bytes = ev.field_u64("bytes").unwrap_or(0);
+            for &(_, w) in &open {
+                windows[w].chunk_moves += 1;
+                windows[w].bytes_moved += bytes;
+            }
+        }
+        let Some(t) = ev.t else { continue };
+        t_max = t_max.max(t);
+        if ev.field_str("name") != Some(kinds::SPAN_RECONFIG) {
+            continue;
+        }
+        let id = ev.field_u64("id");
+        match ev.kind.as_str() {
+            kinds::SPAN_BEGIN => {
+                if let Some(id) = id {
+                    open.push((id, windows.len()));
+                    windows.push(ReconfigWindow {
+                        start: t,
+                        end: t,
+                        closed: false,
+                        from: ev.field_u64("from"),
+                        to: ev.field_u64("to"),
+                        chunk_moves: 0,
+                        bytes_moved: 0,
+                        events: i..events.len(),
+                    });
+                }
+            }
+            kinds::SPAN_END => {
+                if let Some(pos) = open.iter().rposition(|&(open_id, _)| Some(open_id) == id) {
+                    let w = &mut windows[open.remove(pos).1];
+                    w.end = t;
+                    w.closed = true;
+                    w.events.end = i;
+                }
+            }
+            _ => {}
+        }
+    }
+    for (_, w) in open {
+        windows[w].end = t_max;
+    }
+    windows
 }
 
 /// Aggregated view of a whole trace, renderable as a text report.
@@ -262,8 +395,8 @@ pub struct ReconfigSummary {
 pub struct RunReport {
     /// Total events in the trace.
     pub events: usize,
-    /// Completed reconfigurations, in start order.
-    pub reconfigs: Vec<ReconfigSummary>,
+    /// Reconfiguration windows, in start order.
+    pub reconfigs: Vec<ReconfigWindow>,
     /// Event counts by kind, descending.
     pub kind_counts: Vec<(String, usize)>,
     /// p99 histogram of `second` events outside reconfigurations.
@@ -293,49 +426,22 @@ impl RunReport {
     pub fn from_events(events: &[Event]) -> Self {
         let mut report = RunReport {
             events: events.len(),
+            reconfigs: reconfig_windows(events),
             ..RunReport::default()
         };
         let mut counts: BTreeMap<&str, usize> = BTreeMap::new();
-        // Open reconfig spans: id -> index into report.reconfigs.
-        let mut open_reconfigs: BTreeMap<u64, usize> = BTreeMap::new();
-
-        for ev in events {
+        for (i, ev) in events.iter().enumerate() {
             *counts.entry(ev.kind.as_str()).or_insert(0) += 1;
             match ev.kind.as_str() {
-                kinds::SPAN_BEGIN if ev.field_str("name") == Some(kinds::SPAN_RECONFIG) => {
-                    if let Some(id) = ev.field_u64("id") {
-                        report.reconfigs.push(ReconfigSummary {
-                            start: ev.t,
-                            end: None,
-                            from: ev.field_u64("from"),
-                            to: ev.field_u64("to"),
-                            chunk_moves: 0,
-                            bytes_moved: 0,
-                        });
-                        open_reconfigs.insert(id, report.reconfigs.len() - 1);
-                    }
-                }
-                kinds::SPAN_END if ev.field_str("name") == Some(kinds::SPAN_RECONFIG) => {
-                    if let Some(idx) = ev.field_u64("id").and_then(|id| open_reconfigs.remove(&id))
-                    {
-                        report.reconfigs[idx].end = ev.t;
-                    }
-                }
-                kinds::CHUNK_MOVE => {
-                    report.chunk_moves += 1;
-                    let bytes = ev.field_u64("bytes").unwrap_or(0);
-                    // Attribute to every open reconfiguration (normally one).
-                    for idx in open_reconfigs.values() {
-                        report.reconfigs[*idx].chunk_moves += 1;
-                        report.reconfigs[*idx].bytes_moved += bytes;
-                    }
-                }
+                kinds::CHUNK_MOVE => report.chunk_moves += 1,
                 kinds::SECOND => {
                     if let Some(p99) = ev.field_f64("p99") {
                         let during = ev
                             .field("reconfiguring")
                             .and_then(crate::Value::as_bool)
-                            .unwrap_or(!open_reconfigs.is_empty());
+                            .unwrap_or_else(|| {
+                                report.reconfigs.iter().any(|r| r.events.contains(&i))
+                            });
                         if during {
                             report.reconfig_p99.record(p99);
                         } else {
@@ -390,10 +496,11 @@ impl RunReport {
         for (i, r) in self.reconfigs.iter().enumerate() {
             let from = r.from.map_or("?".to_string(), |v| v.to_string());
             let to = r.to.map_or("?".to_string(), |v| v.to_string());
-            let window = match (r.start, r.end) {
-                (Some(s), Some(e)) => format!("t={s:.1}s..{e:.1}s ({:.1}s)", e - s),
-                (Some(s), None) => format!("t={s:.1}s.. (unfinished)"),
-                _ => "t=?".to_string(),
+            let (s, e) = (r.start, r.end);
+            let window = if r.closed {
+                format!("t={s:.1}s..{e:.1}s ({:.1}s)", e - s)
+            } else {
+                format!("t={s:.1}s.. (unfinished)")
             };
             let _ = writeln!(
                 out,
@@ -548,13 +655,168 @@ mod tests {
         assert_eq!(r.to, Some(4));
         assert_eq!(r.chunk_moves, 1);
         assert_eq!(r.bytes_moved, 1000);
-        assert_eq!(r.start, Some(10.0));
-        assert_eq!(r.end, Some(25.0));
+        assert_eq!((r.start, r.end, r.closed), (10.0, 25.0, true));
         assert_eq!(report.stable_p99.count(), 1);
         assert_eq!(report.reconfig_p99.count(), 0);
         assert!(report.span_errors.is_empty());
         let text = report.render();
         assert!(text.contains("reconfigurations (1 total"));
+    }
+
+    /// A `span_begin`/`span_end` for span `id` named `name` at sim time `t`.
+    fn span_at(kind: &str, t: Option<f64>, id: u64, name: &str) -> Event {
+        let mut ev = span(kind, 0, id, name);
+        ev.t = t;
+        ev
+    }
+
+    /// An event of `kind` at sim time `t`.
+    fn event_at(kind: &str, t: Option<f64>) -> Event {
+        let mut ev = Event::new(kind);
+        ev.t = t;
+        ev
+    }
+
+    #[test]
+    fn runs_segment_sim_spans_and_implicit_runs() {
+        let (b, e) = (kinds::SPAN_BEGIN, kinds::SPAN_END);
+        let (sim, fast) = (span_names::DETAILED_SIM, span_names::FAST_SIM);
+        let second = || event_at(kinds::SECOND, Some(1.0));
+        let prov = || event_at(kinds::PROV_INTERVAL, Some(1.0));
+        // Expected runs as (label, first seq, last seq).
+        type Want = Vec<(&'static str, u64, u64)>;
+        let cases: Vec<(&str, Vec<Event>, Want)> = vec![
+            (
+                "sim spans nested in an outer sweep span",
+                vec![
+                    span_at(b, Some(0.0), 1, "sweep"),
+                    span_at(b, Some(0.0), 2, sim),
+                    second(),
+                    span_at(e, Some(2.0), 2, sim),
+                    span_at(b, Some(0.0), 3, sim),
+                    span_at(e, Some(2.0), 3, sim),
+                    span_at(e, Some(2.0), 1, "sweep"),
+                ],
+                vec![("0:detailed_sim", 2, 4), ("1:detailed_sim", 5, 6)],
+            ),
+            (
+                "a sim span nested in a run belongs to it",
+                vec![
+                    span_at(b, Some(0.0), 1, sim),
+                    span_at(b, Some(0.0), 2, fast),
+                    span_at(e, Some(1.0), 2, fast),
+                    second(),
+                    span_at(e, Some(2.0), 1, sim),
+                ],
+                vec![("0:detailed_sim", 1, 5)],
+            ),
+            (
+                "implicit run closed by a later top-level sim span",
+                vec![
+                    event_at("note", Some(0.0)),
+                    second(),
+                    second(),
+                    span_at(b, Some(0.0), 1, fast),
+                    second(),
+                    span_at(e, Some(1.0), 1, fast),
+                ],
+                vec![("0:trace", 2, 3), ("1:fast_sim", 4, 6)],
+            ),
+            (
+                "a prov-less run keeps its number",
+                vec![
+                    span_at(b, Some(0.0), 1, sim),
+                    second(),
+                    span_at(e, Some(1.0), 1, sim),
+                    span_at(b, Some(0.0), 2, sim),
+                    prov(),
+                    span_at(e, Some(1.0), 2, sim),
+                ],
+                vec![("0:detailed_sim", 1, 3), ("1:detailed_sim", 4, 6)],
+            ),
+        ];
+        for (case, mut events, expected) in cases {
+            for (i, ev) in events.iter_mut().enumerate() {
+                ev.seq = u64::try_from(i).unwrap_or(u64::MAX) + 1;
+            }
+            let got: Vec<(String, u64, u64)> = runs(&events, |ev| ev.kind == kinds::SECOND)
+                .into_iter()
+                .map(|(label, run)| (label, run[0].seq, run[run.len() - 1].seq))
+                .collect();
+            let want: Vec<(String, u64, u64)> = expected
+                .iter()
+                .map(|&(label, first, last)| (label.to_string(), first, last))
+                .collect();
+            assert_eq!(got, want, "{case}");
+            if case == "a prov-less run keeps its number" {
+                let prov_labels: Vec<String> = crate::prov::analyze(&events)
+                    .into_iter()
+                    .map(|r| r.label)
+                    .collect();
+                assert_eq!(prov_labels, ["1:detailed_sim"], "{case}");
+            }
+        }
+    }
+
+    #[test]
+    fn reconfig_windows_pin_the_malformed_input_rules() {
+        let rc = kinds::SPAN_RECONFIG;
+        let (b, e) = (kinds::SPAN_BEGIN, kinds::SPAN_END);
+        let begin =
+            |t: Option<f64>, id: u64| span_at(b, t, id, rc).with("from", 2u64).with("to", 3u64);
+        let chunk = |t: Option<f64>| event_at(kinds::CHUNK_MOVE, t).with("bytes", 10u64);
+        // (case, trace, expected windows as (start, end, closed, from,
+        // to, chunk moves)).
+        type Want = (f64, f64, bool, Option<u64>, Option<u64>, u64);
+        let cases: Vec<(&str, Vec<Event>, Vec<Want>)> = vec![
+            (
+                "events without t: spans ignored, chunk moves counted",
+                vec![
+                    begin(None, 1),
+                    begin(Some(1.0), 2),
+                    chunk(None),
+                    span_at(e, None, 2, rc),
+                    event_at(kinds::SECOND, Some(4.0)),
+                ],
+                vec![(1.0, 4.0, false, Some(2), Some(3), 1)],
+            ),
+            (
+                "begin without from/to",
+                vec![span_at(b, Some(1.0), 1, rc), span_at(e, Some(2.0), 1, rc)],
+                vec![(1.0, 2.0, true, None, None, 0)],
+            ),
+            (
+                "duplicate open id: the end closes the latest begin",
+                vec![
+                    begin(Some(1.0), 7),
+                    chunk(Some(1.5)),
+                    begin(Some(2.0), 7),
+                    chunk(Some(2.5)),
+                    span_at(e, Some(3.0), 7, rc),
+                    event_at(kinds::SECOND, Some(5.0)),
+                ],
+                vec![
+                    (1.0, 5.0, false, Some(2), Some(3), 2),
+                    (2.0, 3.0, true, Some(2), Some(3), 1),
+                ],
+            ),
+            (
+                "unclosed window ends at the latest timestamp",
+                vec![
+                    begin(Some(1.0), 1),
+                    event_at(kinds::SECOND, Some(9.0)),
+                    event_at(kinds::SECOND, Some(8.0)),
+                ],
+                vec![(1.0, 9.0, false, Some(2), Some(3), 0)],
+            ),
+        ];
+        for (case, events, expected) in cases {
+            let got: Vec<Want> = reconfig_windows(&events)
+                .iter()
+                .map(|w| (w.start, w.end, w.closed, w.from, w.to, w.chunk_moves))
+                .collect();
+            assert_eq!(got, expected, "{case}");
+        }
     }
 
     #[test]

@@ -87,38 +87,9 @@ cargo run -q --release -p pstore-telemetry --bin pstore-trace -- \
 cargo run -q --release -p pstore-telemetry --bin pstore-trace -- \
     diff "$SMOKE_SUMMARY" "$TRACE_FILE"
 
-step "trace-diff regression gate vs results/golden/ (two --quick runs)"
+step "golden gate: quick fig9/table2 runs diffed against results/golden/"
 GOLDEN_TMP="$(mktemp -d /tmp/pstore-golden.XXXXXX)"
-cargo run -q --release -p pstore-bench --features telemetry \
-    --bin fig9_comparison -- --quick --quiet \
-    --trace "$GOLDEN_TMP/fig9_quick.jsonl" \
-    --summary "$GOLDEN_TMP/fig9_quick.summary.json" > /dev/null
-cargo run -q --release -p pstore-telemetry --bin pstore-trace -- \
-    diff results/golden/fig9_quick.summary.json "$GOLDEN_TMP/fig9_quick.summary.json"
-# SLA attribution: the slo report must render, and its slo.* metrics must
-# match the committed golden (reactive blows the SLA during chunk moves,
-# P-Store does not — the paper's headline, regression-gated).
-cargo run -q --release -p pstore-telemetry --bin pstore-trace -- \
-    slo "$GOLDEN_TMP/fig9_quick.jsonl" > /dev/null
-cargo run -q --release -p pstore-telemetry --bin pstore-trace -- \
-    diff results/golden/fig9_slo_quick.summary.json "$GOLDEN_TMP/fig9_quick.summary.json"
-cargo run -q --release -p pstore-bench --features telemetry \
-    --bin table2_sla -- --quick --quiet \
-    --summary "$GOLDEN_TMP/table2_quick.summary.json" > /dev/null
-cargo run -q --release -p pstore-telemetry --bin pstore-trace -- \
-    diff results/golden/table2_quick.summary.json "$GOLDEN_TMP/table2_quick.summary.json"
-# Provisioning observatory: the same quick workload with the prov_*
-# family enabled (the default run above stays byte-stable because
-# emission is gated). Reactive must under-provision, P-Store must not;
-# gated via the prov.* metrics in the committed golden.
-PSTORE_PROV_EVENTS=1 cargo run -q --release -p pstore-bench --features telemetry \
-    --bin fig9_comparison -- --quick --quiet \
-    --trace "$GOLDEN_TMP/fig9_prov_quick.jsonl" > /dev/null
-cargo run -q --release -p pstore-telemetry --bin pstore-trace -- \
-    provisioning "$GOLDEN_TMP/fig9_prov_quick.jsonl" \
-    --summary "$GOLDEN_TMP/fig9_prov_quick.summary.json" > /dev/null
-cargo run -q --release -p pstore-telemetry --bin pstore-trace -- \
-    diff results/golden/fig9_prov_quick.summary.json "$GOLDEN_TMP/fig9_prov_quick.summary.json"
+scripts/golden_gate.sh "$GOLDEN_TMP"
 rm -rf "$GOLDEN_TMP"
 
 if [[ "$QUICK" == "0" ]]; then
