@@ -162,13 +162,18 @@ impl<F: LoadForecaster> Strategy for PStoreController<F> {
 
         // Build the planning curve: measured load now, inflated predictions
         // after (§8.2: predictions inflated by 15% to absorb model error).
+        // Negatives clamp to zero but NaN stays, so the planner sees it and
+        // returns no plan: the emergency path then holds or scales out.
         let mut curve = Vec::with_capacity(predictions.len() + 1);
         curve.push(obs.load);
-        curve.extend(
-            predictions
-                .iter()
-                .map(|p| (p * self.cfg.prediction_inflation).max(0.0)),
-        );
+        curve.extend(predictions.iter().map(|p| {
+            let p = p * self.cfg.prediction_inflation;
+            if p < 0.0 {
+                0.0
+            } else {
+                p
+            }
+        }));
 
         let Some(plan) = self.planner.best_moves(&curve, obs.machines) else {
             self.scale_in_streak = 0;
@@ -439,6 +444,24 @@ mod tests {
         });
         assert_eq!(a, Action::None);
         assert_eq!(c.stats().busy_cycles, 1);
+    }
+
+    /// ROB-01: a NaN forecast or a NaN measured load never shrinks the
+    /// cluster (NaN compares false against every capacity, so an unchecked
+    /// planner treats it as zero load).
+    #[test]
+    fn nan_inputs_never_scale_in() {
+        let never_below = |c: &mut PStoreController<OracleForecaster>, load: f64| {
+            for t in 0..6 {
+                if let Action::Reconfigure(r) = c.tick(&obs(t, load, 6)) {
+                    assert!(r.target >= 6, "scaled in to {} at tick {t}", r.target);
+                }
+            }
+        };
+        let mut nan_forecast = controller(vec![f64::NAN; 40], cfg_no_inflation());
+        never_below(&mut nan_forecast, 550.0);
+        let mut nan_load = controller(vec![120.0; 40], cfg_no_inflation());
+        never_below(&mut nan_load, f64::NAN);
     }
 
     #[test]

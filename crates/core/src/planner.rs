@@ -53,7 +53,121 @@ impl Default for PlannerOptions {
 #[derive(Debug, Clone)]
 pub struct Planner {
     cfg: PlannerConfig,
+    /// Read only by the invariant checks; the move table applies them.
+    #[cfg(feature = "check-invariants")]
     opts: PlannerOptions,
+    moves: MoveTable,
+}
+
+/// Every move `B -> A` with `1 <= B, A <= max_machines`, computed once per
+/// planner. The dynamic program visits each pair at every `(t, A)` state,
+/// so it looks up a move's duration, cost and capacity curve instead of
+/// recomputing them. The configuration has no mutator, so the table cannot
+/// go stale.
+#[derive(Debug, Clone)]
+struct MoveTable {
+    max_machines: usize,
+    entries: Vec<MoveEntry>,
+    /// The capacity thresholds of all entries, back to back.
+    thresholds: Vec<f64>,
+}
+
+/// One move of the [`MoveTable`].
+#[derive(Debug, Clone, Copy)]
+struct MoveEntry {
+    /// Duration in intervals, the "do nothing" move stretched to one.
+    dur: usize,
+    /// Cost in machine-intervals.
+    cost: f64,
+    /// Offset of the move's `dur` thresholds in [`MoveTable::thresholds`].
+    first: usize,
+}
+
+/// Largest cluster the move table covers. The table holds `max_machines²`
+/// entries; the verify sweep's largest cluster has 64 machines.
+const MAX_TABLE_MACHINES: u32 = 1024;
+
+/// Largest number of capacity thresholds (the sum of all move durations)
+/// the move table holds: 32 MiB of `f64`.
+const MAX_TABLE_STEPS: usize = 1 << 22;
+
+impl MoveTable {
+    fn build(cfg: &PlannerConfig, opts: PlannerOptions) -> Self {
+        assert!(
+            cfg.max_machines <= MAX_TABLE_MACHINES,
+            "max_machines must be at most {MAX_TABLE_MACHINES}"
+        );
+        let n = cfg.max_machines as usize;
+        let mut entries = Vec::with_capacity(n * n);
+        let mut thresholds = Vec::new();
+        for b in 1..=cfg.max_machines {
+            for a in 1..=cfg.max_machines {
+                // A move must last at least one interval (Algorithm 2
+                // line 9).
+                let dur = move_intervals(cfg, b, a).max(1);
+                assert!(
+                    dur <= MAX_TABLE_STEPS - thresholds.len(),
+                    "moves too long for the move table: lower d_intervals or max_machines"
+                );
+                entries.push(MoveEntry {
+                    dur,
+                    cost: move_cost_intervals(cfg, opts, b, a),
+                    first: thresholds.len(),
+                });
+                // During the move, predicted load must stay under the
+                // *effective* capacity (Equation 7), with migration
+                // progress f = i / T(B, A). (The naive ablation checks only
+                // the post-move capacity.)
+                thresholds.extend((1..=dur).map(|i| {
+                    if opts.effective_capacity_aware {
+                        eff_cap(b, a, i as f64 / dur as f64, cfg.q)
+                    } else {
+                        cap(a, cfg.q)
+                    }
+                }));
+            }
+        }
+        MoveTable {
+            max_machines: n,
+            entries,
+            thresholds,
+        }
+    }
+
+    fn entry(&self, b: u32, a: u32) -> MoveEntry {
+        self.entries[(b as usize - 1) * self.max_machines + (a as usize - 1)]
+    }
+
+    /// Capacity the move must keep above the load at steps `1..=dur`.
+    fn thresholds(&self, m: MoveEntry) -> &[f64] {
+        &self.thresholds[m.first..m.first + m.dur]
+    }
+}
+
+/// Duration of a move in whole intervals (Equation 3 rounded up; the "do
+/// nothing" move reports 0 here and is stretched to one interval inside the
+/// recurrence, per Algorithm 2 line 9).
+#[allow(clippy::cast_possible_truncation, clippy::cast_sign_loss)] // ceil of a non-negative time
+fn move_intervals(cfg: &PlannerConfig, b: u32, a: u32) -> usize {
+    if b == a {
+        return 0;
+    }
+    move_time(b, a, cfg.partitions_per_node, cfg.d_intervals).ceil() as usize
+}
+
+/// Cost of a move in machine-intervals (Equation 4 with the
+/// interval-rounded duration, so the dynamic program's accounting sums to
+/// machine-intervals over the horizon).
+fn move_cost_intervals(cfg: &PlannerConfig, opts: PlannerOptions, b: u32, a: u32) -> f64 {
+    if b == a {
+        return b as f64; // stretched noop: B machines for 1 interval
+    }
+    let machines = if opts.jit_allocation_cost {
+        avg_machines_allocated(b, a)
+    } else {
+        b.max(a) as f64
+    };
+    move_intervals(cfg, b, a).max(1) as f64 * machines
 }
 
 #[derive(Debug, Clone, Copy)]
@@ -67,7 +181,7 @@ impl Planner {
     /// Creates a planner.
     ///
     /// # Panics
-    /// Panics on non-positive `q`, `d_intervals`, partitions, or machines.
+    /// As [`Planner::with_options`].
     pub fn new(cfg: PlannerConfig) -> Self {
         Self::with_options(cfg, PlannerOptions::default())
     }
@@ -75,13 +189,21 @@ impl Planner {
     /// Creates a planner with explicit ablation options.
     ///
     /// # Panics
-    /// Panics on non-positive `q`, `d_intervals`, partitions, or machines.
+    /// Panics on non-positive `q`, `d_intervals`, partitions, or machines,
+    /// on more than 1024 machines, and when the durations of all moves
+    /// between `1..=max_machines` machines sum to more than 2²² intervals.
     pub fn with_options(cfg: PlannerConfig, opts: PlannerOptions) -> Self {
         assert!(cfg.q > 0.0, "Q must be positive");
         assert!(cfg.d_intervals > 0.0, "D must be positive");
         assert!(cfg.partitions_per_node > 0, "P must be positive");
         assert!(cfg.max_machines > 0, "max_machines must be positive");
-        Planner { cfg, opts }
+        let moves = MoveTable::build(&cfg, opts);
+        Planner {
+            cfg,
+            #[cfg(feature = "check-invariants")]
+            opts,
+            moves,
+        }
     }
 
     /// The configuration.
@@ -94,32 +216,6 @@ impl Planner {
         machines_for_load(load, self.cfg.q)
     }
 
-    /// Duration of a move in whole intervals (Equation 3 rounded up; the
-    /// "do nothing" move reports 0 here and is stretched to one interval
-    /// inside the recurrence, per Algorithm 2 line 9).
-    #[allow(clippy::cast_possible_truncation, clippy::cast_sign_loss)] // ceil of a non-negative time
-    pub fn move_intervals(&self, b: u32, a: u32) -> usize {
-        if b == a {
-            return 0;
-        }
-        move_time(b, a, self.cfg.partitions_per_node, self.cfg.d_intervals).ceil() as usize
-    }
-
-    /// Cost of a move in machine-intervals (Equation 4 with the
-    /// interval-rounded duration, so the dynamic program's accounting sums
-    /// to machine-intervals over the horizon).
-    fn move_cost_intervals(&self, b: u32, a: u32) -> f64 {
-        if b == a {
-            return b as f64; // stretched noop: B machines for 1 interval
-        }
-        let machines = if self.opts.jit_allocation_cost {
-            avg_machines_allocated(b, a)
-        } else {
-            b.max(a) as f64
-        };
-        self.move_intervals(b, a).max(1) as f64 * machines
-    }
-
     /// Algorithm 1: the optimal sequence of moves for the predicted load.
     ///
     /// `load[0]` is the current measured load; `load[t]` for `t >= 1` are
@@ -127,10 +223,15 @@ impl Planner {
     /// spans `load.len() - 1` intervals. Returns `None` when no feasible
     /// plan exists (the cluster cannot scale out fast enough, or the peak
     /// exceeds `max_machines * Q`) — the controller then falls back to a
-    /// reactive emergency scale-out (§4.3.1).
+    /// reactive emergency scale-out (§4.3.1). A non-finite load also
+    /// yields `None`: NaN compares false against every capacity, so a NaN
+    /// sample or forecast would otherwise pass as feasible at any size.
     pub fn best_moves(&self, load: &[f64], n0: u32) -> Option<MoveSeq> {
         assert!(n0 >= 1, "must start with at least one machine");
         assert!(!load.is_empty(), "load horizon must be non-empty");
+        if !load.iter().all(|l| l.is_finite()) {
+            return None;
+        }
         let t_max = load.len() - 1;
         if t_max == 0 {
             return (load[0] <= cap(n0, self.cfg.q)).then(MoveSeq::default);
@@ -231,10 +332,9 @@ impl Planner {
             for b in 1..=z {
                 let c = self.sub_cost(t, b, a, load, n0, z, memo);
                 if c < best.cost {
-                    let dur = self.move_intervals(b, a).max(1);
                     best = Cell {
                         cost: c,
-                        prev_time: t - dur,
+                        prev_time: t - self.moves.entry(b, a).dur,
                         prev_nodes: b,
                     };
                 }
@@ -258,28 +358,22 @@ impl Planner {
         z: u32,
         memo: &mut Vec<Option<Cell>>,
     ) -> f64 {
-        // A move must last at least one interval.
-        let dur = self.move_intervals(b, a).max(1);
-        let Some(start) = t.checked_sub(dur) else {
+        let m = self.moves.entry(b, a);
+        let Some(start) = t.checked_sub(m.dur) else {
             // The move would need to start in the past.
             return f64::INFINITY;
         };
-        // During the move, predicted load must stay under the *effective*
-        // capacity (Equation 7), with migration progress f = i / T(B, A).
-        // (The naive ablation checks only the post-move capacity.)
-        for i in 1..=dur {
-            let capacity = if self.opts.effective_capacity_aware {
-                let f = i as f64 / dur as f64;
-                eff_cap(b, a, f, self.cfg.q)
-            } else {
-                cap(a, self.cfg.q)
-            };
-            if load[start + i] > capacity {
-                return f64::INFINITY;
-            }
+        // Predicted load must stay under the move's capacity curve.
+        let steps = &load[start + 1..=t];
+        if steps
+            .iter()
+            .zip(self.moves.thresholds(m))
+            .any(|(l, c)| l > c)
+        {
+            return f64::INFINITY;
         }
         let prior = self.cost(start, b, load, n0, z, memo);
-        prior + self.move_cost_intervals(b, a)
+        prior + m.cost
     }
 
     /// Walks the memo backwards from `(t, n)` to `t = 0`, emitting moves in
@@ -472,6 +566,88 @@ mod tests {
     }
 
     #[test]
+    fn non_finite_load_has_no_plan() {
+        let planner = fast_planner(10);
+        for bad in [f64::NAN, f64::INFINITY] {
+            assert!(planner.best_moves(&[bad], 6).is_none());
+            assert!(planner.best_moves(&[bad, 120.0, 120.0], 6).is_none());
+            assert!(planner.best_moves(&[120.0, bad, 120.0], 6).is_none());
+        }
+    }
+
+    /// Every table entry equals the cost-model functions it caches, bit
+    /// for bit, under every option combination and several scales.
+    #[test]
+    fn move_table_matches_cost_model() {
+        let configs = [
+            (100.0, 0.5, 1, 10),
+            (100.0, 15.0, 1, 16),
+            (285.0, 15.5, 6, 20),
+            (437.5, 30.0, 1, 64),
+            (285.0, 30.0, 6, 64),
+        ];
+        for (q, d_intervals, partitions_per_node, max_machines) in configs {
+            let cfg = PlannerConfig {
+                q,
+                d_intervals,
+                partitions_per_node,
+                max_machines,
+            };
+            for (effective_capacity_aware, jit_allocation_cost) in
+                [(true, true), (true, false), (false, true), (false, false)]
+            {
+                let opts = PlannerOptions {
+                    effective_capacity_aware,
+                    jit_allocation_cost,
+                };
+                let planner = Planner::with_options(cfg.clone(), opts);
+                for b in 1..=max_machines {
+                    for a in 1..=max_machines {
+                        let m = planner.moves.entry(b, a);
+                        let dur = move_intervals(&cfg, b, a).max(1);
+                        assert_eq!(m.dur, dur, "duration of {b} -> {a}");
+                        let cost = if b == a {
+                            b as f64
+                        } else if jit_allocation_cost {
+                            dur as f64 * avg_machines_allocated(b, a)
+                        } else {
+                            dur as f64 * b.max(a) as f64
+                        };
+                        assert_eq!(m.cost.to_bits(), cost.to_bits(), "cost of {b} -> {a}");
+                        let thresholds = planner.moves.thresholds(m);
+                        assert_eq!(thresholds.len(), dur);
+                        for (i, c) in (1..=dur).zip(thresholds) {
+                            let want = if effective_capacity_aware {
+                                eff_cap(b, a, i as f64 / dur as f64, q)
+                            } else {
+                                cap(a, q)
+                            };
+                            assert_eq!(c.to_bits(), want.to_bits(), "step {i} of {b} -> {a}");
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "max_machines must be at most")]
+    fn move_table_rejects_huge_clusters() {
+        let _ = fast_planner(MAX_TABLE_MACHINES + 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "moves too long for the move table")]
+    fn move_table_rejects_huge_durations() {
+        let _ = Planner::new(PlannerConfig {
+            q: 100.0,
+            d_intervals: 1e12,
+            partitions_per_node: 1,
+            max_machines: 2,
+        });
+    }
+
+    #[test]
     fn machines_needed_rounds_up() {
         let planner = fast_planner(10);
         assert_eq!(planner.machines_needed(100.0), 1);
@@ -482,9 +658,9 @@ mod tests {
     #[test]
     fn move_intervals_rounds_up_and_noop_is_zero() {
         let planner = slow_planner(10);
-        assert_eq!(planner.move_intervals(3, 3), 0);
+        assert_eq!(move_intervals(&planner.cfg, 3, 3), 0);
         // 2 -> 4, P=1: T = 15/2 * (1 - 2/4) = 3.75 -> 4 intervals.
-        assert_eq!(planner.move_intervals(2, 4), 4);
+        assert_eq!(move_intervals(&planner.cfg, 2, 4), 4);
     }
 
     #[test]

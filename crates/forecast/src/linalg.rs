@@ -320,15 +320,6 @@ pub fn cholesky(a: &Matrix) -> Option<Matrix> {
     Some(l)
 }
 
-/// Dot product of two equal-length slices.
-///
-/// # Panics
-/// Panics if the slices have different lengths.
-pub fn dot(a: &[f64], b: &[f64]) -> f64 {
-    assert_eq!(a.len(), b.len(), "dot product requires equal lengths");
-    a.iter().zip(b).map(|(x, y)| x * y).sum()
-}
-
 #[cfg(test)]
 mod tests {
     #![allow(clippy::float_cmp, clippy::cast_possible_truncation)] // tests assert exact rational arithmetic on tiny values
@@ -456,10 +447,5 @@ mod tests {
     fn cholesky_rejects_indefinite() {
         let a = Matrix::from_rows(2, 2, &[1.0, 2.0, 2.0, 1.0]);
         assert!(cholesky(&a).is_none());
-    }
-
-    #[test]
-    fn dot_product() {
-        assert_eq!(dot(&[1.0, 2.0, 3.0], &[4.0, 5.0, 6.0]), 32.0);
     }
 }

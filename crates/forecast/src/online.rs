@@ -12,6 +12,11 @@ use crate::model::{FitError, LoadPredictor};
 pub type FitFn = Box<dyn Fn(&[f64]) -> Result<Box<dyn LoadPredictor>, FitError> + Send + Sync>;
 
 /// A self-(re)fitting predictor fed by a stream of load measurements.
+///
+/// The retained window is the last `max_history` samples. The buffer
+/// behind it may run up to `max_history / 8` samples longer and is cut
+/// back in one go, so a full window costs one shift every `max_history / 8`
+/// observations instead of one per observation.
 pub struct OnlinePredictor {
     fit: FitFn,
     history: Vec<f64>,
@@ -20,7 +25,6 @@ pub struct OnlinePredictor {
     refit_every: usize,
     observations_since_fit: usize,
     max_history: usize,
-    fit_failures: u64,
 }
 
 impl OnlinePredictor {
@@ -45,7 +49,6 @@ impl OnlinePredictor {
             refit_every,
             observations_since_fit: 0,
             max_history,
-            fit_failures: 0,
         }
     }
 
@@ -63,40 +66,38 @@ impl OnlinePredictor {
         self.trim();
         self.observations_since_fit += 1;
         let due = self.model.is_none() || self.observations_since_fit >= self.refit_every;
-        if due && self.history.len() >= self.min_train {
+        if due && self.history_len() >= self.min_train {
             self.try_fit();
         }
     }
 
     fn trim(&mut self) {
-        if self.history.len() > self.max_history {
+        if self.history.len() > self.max_history + self.max_history / 8 {
             let excess = self.history.len() - self.max_history;
             self.history.drain(..excess);
         }
     }
 
+    /// The retained window: the last `max_history` samples.
+    fn window(&self) -> &[f64] {
+        let start = self.history.len().saturating_sub(self.max_history);
+        &self.history[start..]
+    }
+
     fn try_fit(&mut self) {
-        if self.history.len() < self.min_train {
+        let window = self.window();
+        if window.len() < self.min_train {
             return;
         }
-        match (self.fit)(&self.history) {
-            Ok(m) => {
-                self.model = Some(m);
-                self.observations_since_fit = 0;
-                pstore_telemetry::tel_event!(
-                    pstore_telemetry::kinds::FORECAST_RETRAIN,
-                    "history" => self.history.len(),
-                    "ok" => true,
-                );
-            }
-            Err(_) => {
-                self.fit_failures += 1;
-                pstore_telemetry::tel_event!(
-                    pstore_telemetry::kinds::FORECAST_RETRAIN,
-                    "history" => self.history.len(),
-                    "ok" => false,
-                );
-            }
+        let fitted = (self.fit)(window);
+        pstore_telemetry::tel_event!(
+            pstore_telemetry::kinds::FORECAST_RETRAIN,
+            "history" => window.len(),
+            "ok" => fitted.is_ok(),
+        );
+        if let Ok(m) = fitted {
+            self.model = Some(m);
+            self.observations_since_fit = 0;
         }
     }
 
@@ -104,7 +105,7 @@ impl OnlinePredictor {
     pub fn is_ready(&self) -> bool {
         self.model
             .as_ref()
-            .is_some_and(|m| self.history.len() >= m.min_history())
+            .is_some_and(|m| self.history_len() >= m.min_history())
     }
 
     /// Forecasts the next `h` slots, or `None` until enough data has been
@@ -117,10 +118,11 @@ impl OnlinePredictor {
     /// indicate a broken fit and must stay visible to the checkers).
     pub fn forecast(&self, h: usize) -> Option<Vec<f64>> {
         let model = self.model.as_ref()?;
-        if self.history.len() < model.min_history() {
+        let window = self.window();
+        if window.len() < model.min_history() {
             return None;
         }
-        let raw = model.predict_horizon(&self.history, h);
+        let raw = model.predict_horizon(window, h);
         let curve: Vec<f64> = raw
             .into_iter()
             .map(|v| if v < 0.0 { 0.0 } else { v })
@@ -135,21 +137,15 @@ impl OnlinePredictor {
 
     /// Number of retained measurements.
     pub fn history_len(&self) -> usize {
-        self.history.len()
-    }
-
-    /// Number of failed fit attempts (diagnostic).
-    pub fn fit_failures(&self) -> u64 {
-        self.fit_failures
+        self.window().len()
     }
 }
 
 impl std::fmt::Debug for OnlinePredictor {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("OnlinePredictor")
-            .field("history_len", &self.history.len())
+            .field("history_len", &self.history_len())
             .field("ready", &self.is_ready())
-            .field("fit_failures", &self.fit_failures)
             .finish()
     }
 }
@@ -216,7 +212,6 @@ mod tests {
             p.observe(v);
         }
         assert!(p.is_ready());
-        assert_eq!(p.fit_failures(), 0);
     }
 
     #[test]
@@ -227,6 +222,56 @@ mod tests {
         p.seed(&signal(cap + 500));
         assert_eq!(p.history_len(), cap);
         assert!(p.is_ready());
+    }
+
+    /// The slack behind the window is invisible: a predictor that trims
+    /// on every observation fits and forecasts on the same samples.
+    #[test]
+    fn window_matches_eager_trimming() {
+        let c = cfg();
+        let (min_train, refit_every, max_history) =
+            (c.min_history() + 10, 24, c.min_history() + 100);
+        let fit = spar_fit(c.clone());
+        let mut p = OnlinePredictor::new(spar_fit(c), min_train, refit_every, max_history);
+        // Reference: the same life-cycle over an eagerly trimmed buffer.
+        let mut history: Vec<f64> = Vec::new();
+        let mut model: Option<Box<dyn LoadPredictor>> = None;
+        let mut since_fit = 0;
+        let mut noise = 1u64;
+        for (i, base) in signal(3 * max_history).into_iter().enumerate() {
+            noise = noise
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1);
+            let v = base + 0.05 * i as f64 + (noise >> 59) as f64;
+            p.observe(v);
+            history.push(v);
+            if history.len() > max_history {
+                history.remove(0);
+            }
+            since_fit += 1;
+            if (model.is_none() || since_fit >= refit_every) && history.len() >= min_train {
+                if let Ok(m) = fit(&history) {
+                    model = Some(m);
+                    since_fit = 0;
+                }
+            }
+            assert!(p.history_len() <= max_history);
+            assert_eq!(p.history_len(), history.len());
+            let want = model
+                .as_ref()
+                .filter(|m| history.len() >= m.min_history())
+                .map(|m| m.predict_horizon(&history, 6));
+            let got = p.forecast(6);
+            assert_eq!(got.is_some(), want.is_some(), "readiness at {i}");
+            if let (Some(got), Some(want)) = (got, want) {
+                let want: Vec<u64> = want
+                    .into_iter()
+                    .map(|v| if v < 0.0 { 0.0 } else { v }.to_bits())
+                    .collect();
+                let got: Vec<u64> = got.into_iter().map(f64::to_bits).collect();
+                assert_eq!(got, want, "forecast at observation {i}");
+            }
+        }
     }
 
     #[test]
